@@ -11,7 +11,8 @@ File format (one directive per line, '#' starts a comment):
 
 Exit codes: 0 success, 1 UNSAT reported by `sat`, 2 usage or parse error,
 3 solver failure or violated precondition (unsatisfiable input to entail,
-maxent or query; inconsistent condition; instance over the oracle limit).
+maxent or query; inconsistent condition; a query whose maximum-entropy
+labelling is not certified optimal; instance over the oracle limit).
 """
 from __future__ import annotations
 
@@ -162,7 +163,10 @@ def _parse_constraint(no: int, tokens: list[str], declared: set[str]) -> RawCons
             expect_term = True
     if expect_term:
         raise ParseError(no, "constraint ends with a dangling '+'")
-    return RawConstraint.of(terms, relation, bound)
+    try:
+        return RawConstraint.of(terms, relation, bound)
+    except StructuralError as exc:
+        raise ParseError(no, str(exc)) from None
 
 
 def _parse_literals(no: int, tokens: list[str], declared: set[str]) -> ConjunctiveQuery:
@@ -373,16 +377,16 @@ def _cmd_query(args) -> int:
             formula = pf.queries[args.query].to_formula()
         else:
             formula = parse_query_formula(args.query)
-        res = maxent_labelling(cs, pf.baf)
-        value = exclusive_dnf_query(res.labelling, formula, limit=args.max_args)
+        L = maxent_labelling(cs, pf.baf).certified_labelling()
+        value = exclusive_dnf_query(L, formula, limit=args.max_args)
     elif args.condition:
         condition = parse_query_conjunction(args.condition)
         target = _resolve_query(pf, args.query)
         value = conditional_query(cs, pf.baf, condition, target)
     else:
         target = _resolve_query(pf, args.query)
-        res = maxent_labelling(cs, pf.baf)
-        value = conjunctive_query(res.labelling, target)
+        L = maxent_labelling(cs, pf.baf).certified_labelling()
+        value = conjunctive_query(L, target)
     _print_report(args, "ok",
                   {"query": args.query, "condition": args.condition, "probability": value},
                   {}, [f"{value:.6f}"])

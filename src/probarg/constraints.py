@@ -8,6 +8,7 @@ currency.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -22,11 +23,13 @@ Relation = str  # one of "<=", "=", ">="
 _RELATIONS = ("<=", "=", ">=")
 
 
-def _merge_terms(terms) -> dict[str, float]:
+def _merge_terms(terms, bound) -> tuple[dict[str, float], float]:
     """Merge duplicate arguments and drop exact-zero coefficients.
 
     Accepts either a mapping {arg: coeff} or an iterable of (coeff, arg)
-    pairs; returns a plain dict keyed by argument name.
+    pairs; returns a plain dict keyed by argument name, and the bound as a
+    float. NaN and infinite numbers, given or reached by merging, raise
+    StructuralError.
     """
     merged: dict[str, float] = {}
     if hasattr(terms, "items"):
@@ -35,7 +38,11 @@ def _merge_terms(terms) -> dict[str, float]:
         pairs = [(float(c), _as_argument(a).name) for c, a in terms]
     for c, name in pairs:
         merged[name] = merged.get(name, 0.0) + c
-    return {name: c for name, c in merged.items() if c != 0.0}
+    bound = float(bound)
+    if not (math.isfinite(bound) and all(map(math.isfinite, merged.values()))):
+        raise StructuralError(f"coefficients and bound must be finite, got "
+                              f"{merged} and {bound!r}")
+    return {name: c for name, c in merged.items() if c != 0.0}, bound
 
 
 @dataclass(frozen=True)
@@ -47,8 +54,8 @@ class LinearAtomicConstraint:
 
     @classmethod
     def of(cls, terms, bound: float) -> "LinearAtomicConstraint":
-        merged = _merge_terms(terms)
-        return cls(tuple(sorted(merged.items())), float(bound))
+        merged, bound = _merge_terms(terms, bound)
+        return cls(tuple(sorted(merged.items())), bound)
 
     def coeff(self, a: ArgLike) -> float:
         name = _as_argument(a).name
@@ -83,8 +90,8 @@ class RawConstraint:
     def of(cls, terms, relation: Relation, bound: float) -> "RawConstraint":
         if relation not in _RELATIONS:
             raise StructuralError(f"relation must be one of {_RELATIONS}, got {relation!r}")
-        merged = _merge_terms(terms)
-        return cls(tuple(sorted(merged.items())), relation, float(bound))
+        merged, bound = _merge_terms(terms, bound)
+        return cls(tuple(sorted(merged.items())), relation, bound)
 
     def __str__(self):
         body = " + ".join(f"{c:g}*pi({name})" for name, c in self.terms) or "0"

@@ -11,8 +11,9 @@ cycling. Phase one introduces artificial variables only for rows that are
 infeasible at the initial bound assignment.
 
 SimplexState is reusable: after one phase-one run, any number of objectives
-can be minimized over the same feasible region. reasoner.entail_all and the
-conditional-gradient loops lean on that to avoid re-finding feasibility.
+can be minimized over the same feasible region. reasoner.entail_all, the
+maximum-entropy fallback and the oracle's conditional-gradient loop lean on
+that to avoid re-finding feasibility.
 """
 from __future__ import annotations
 

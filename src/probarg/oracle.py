@@ -98,15 +98,16 @@ def world_lp_entail(cs: ConstraintSet, baf: BAF, f: Union[Formula, ArgLike],
 def world_maxent(cs: ConstraintSet, baf: BAF, max_args: Optional[int] = None,
                  gap_tol: float = 1e-8, max_iter: int = 10_000,
                  fix_tol: float = 1e-9) -> WorldDistribution:
-    """Entropy-maximizing world distribution, by the same conditional-gradient
-    machinery the labelling path uses, applied to 2^n world variables."""
+    """Entropy-maximizing world distribution over the 2^n world variables, by
+    conditional gradient: a different optimizer from the labelling path's
+    entropy dual, so agreement between the two is an independent check."""
     limit = WORLD_MAXENT_LIMIT if max_args is None else max_args
     check_world_size(baf.n, limit)
     rows, bounds = _world_rows(cs, baf)
     W = 1 << baf.n
     try:
         x, gap, iters, converged = maxent_over_polytope(
-            rows, bounds, np.zeros(W), np.ones(W), kind="shannon",
+            rows, bounds, np.zeros(W), np.ones(W),
             gap_tol=gap_tol, max_iter=max_iter, fix_tol=fix_tol,
             center=np.full(W, 1.0 / W))
     except UnsatisfiableError:

@@ -108,27 +108,6 @@ def entail_all(cs: ConstraintSet, baf: BAF) -> dict[Argument, EntailmentBounds]:
     return out
 
 
-def entail_vertices(cs: ConstraintSet, baf: BAF):
-    """Bounds plus the optimal vertex labellings of all 2n entailment solves.
-
-    The vertices seed the max-entropy solver: their coordinatewise average is
-    feasible by convexity.
-    """
-    _require_sat(cs, baf)
-    A, b = cs.as_matrix(baf)
-    sols = lp.solve_many(A, b, np.zeros(baf.n), np.ones(baf.n), _entail_objectives(baf))
-    bounds: dict[Argument, EntailmentBounds] = {}
-    vertices = []
-    for i, arg in enumerate(baf.args):
-        lo_sol, hi_sol = sols[2 * i], sols[2 * i + 1]
-        if lo_sol.status != lp.OPTIMAL or hi_sol.status != lp.OPTIMAL:
-            raise SolverError("entailment LP failed for argument " + arg.name)
-        bounds[arg] = _bounds_from(lo_sol, hi_sol)
-        vertices.append(np.clip(lo_sol.x, 0.0, 1.0))
-        vertices.append(np.clip(hi_sol.x, 0.0, 1.0))
-    return bounds, vertices
-
-
 def _require_sat(cs: ConstraintSet, baf: BAF) -> None:
     res = check_sat(cs, baf)
     if not res.satisfiable:

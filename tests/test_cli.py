@@ -1,10 +1,11 @@
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
 
-from probarg import ParseError, SemanticsFlag
+from probarg import ParseError, SemanticsFlag, cli, maxent
 from probarg.cli import format_problem, parse, parse_query_conjunction, run
 
 FIG1 = """\
@@ -239,6 +240,27 @@ class TestExitCodes:
 
     def test_dnf_conflict_is_2(self, ab_file, capsys):
         assert run(["query", ab_file, "A", "--dnf", "--condition", "A"]) == 2
+
+    @pytest.mark.parametrize("line", ["constraint 1*A <= nan", "constraint inf*A <= 1"])
+    @pytest.mark.parametrize("command", ["sat", "entail-all", "maxent"])
+    def test_non_finite_constraint_is_2(self, tmp_path, capsys, line, command):
+        p = tmp_path / "nonfinite.paf"
+        p.write_text(f"arg A\n{line}\n")
+        assert run([command, str(p)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("query", [["A & B"], ["A | B", "--dnf"], ["B", "--condition", "A"]])
+    def test_query_on_unconverged_labelling_is_3(self, tmp_path, capsys, monkeypatch, query):
+        capped = functools.partial(maxent.maxent_labelling, gap_tol=-1.0, max_iter=2)
+        monkeypatch.setattr(cli, "maxent_labelling", capped)
+        monkeypatch.setattr(maxent, "maxent_labelling", capped)
+        p = tmp_path / "cond.paf"
+        p.write_text("arg A\narg B\natt A B\nsemantics COH\n")
+        assert run(["query", str(p)] + query) == 3
+        assert "not converged" in capsys.readouterr().err
+        # maxent itself still answers, flagging the labelling
+        assert run(["maxent", str(p), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["diagnostics"]["converged"] is False
 
 
 def test_console_script_entry_point(fig1_file):

@@ -41,6 +41,20 @@ class TestNormalize:
         with pytest.raises(StructuralError):
             RawConstraint.of([(1.0, "A")], "<", 1.0)
 
+    @pytest.mark.parametrize("terms, bound", [
+        ([(float("nan"), "A")], 1.0),
+        ([(float("inf"), "A")], 1.0),
+        ([(1.0, "A"), (float("-inf"), "B")], 1.0),
+        ([(1e308, "A"), (1e308, "A")], 1.0),  # finite terms that merge to inf
+        ([(1.0, "A")], float("nan")),
+        ([(1.0, "A")], float("-inf")),
+    ])
+    def test_non_finite_rejected(self, terms, bound):
+        with pytest.raises(StructuralError):
+            RawConstraint.of(terms, "<=", bound)
+        with pytest.raises(StructuralError):
+            LinearAtomicConstraint.of(terms, bound)
+
 
 class TestCompileSemantics:
     def test_coh_deduplicates_mutual_attack(self, fig1):

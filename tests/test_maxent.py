@@ -1,16 +1,21 @@
 import math
+import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from probarg import (BAF, Atom, ConditionInconsistentError, ConjunctiveQuery,
-                     ConstraintSet, LimitExceededError, Not, Or, RawConstraint,
-                     SemanticsFlag, StructuralError, UnsatisfiableError,
-                     compile_semantics, conditional_query, conjunctive_query,
-                     entropy_labelling, exclusive_dnf_query,
-                     factorized_distribution, kl_divergence, maxent_labelling,
-                     prob_of_formula, random_instance, satisfies_all,
-                     world_maxent, check_sat)
+                     ConstraintSet, LimitExceededError, LinearAtomicConstraint,
+                     Not, Or, RawConstraint, SemanticsFlag, StructuralError,
+                     UnsatisfiableError, compile_semantics, conditional_query,
+                     conjunctive_query, entropy_labelling, exclusive_dnf_query,
+                     factorized_distribution, kl_divergence, labelling_of,
+                     maxent_labelling, prob_of_formula, random_instance,
+                     satisfies_all, world_maxent, check_sat)
+from probarg.maxent import GAP_TOL
 from conftest import random_labelling, random_formula
 
 
@@ -56,19 +61,46 @@ class TestMaxentLabelling:
             assert res.converged
             assert satisfies_all(res.labelling, full, tol=1e-6)
 
-    def test_start_point_independence(self):
-        for seed in (2, 5, 11, 14):
+    def test_path_independence(self, fig1):
+        # the optimum is unique, so nothing about how the rows are presented
+        # may move it: argument order, row order, duplicate rows, row scaling
+        problems = [_Problem(fig1, compile_semantics(fig1, {SemanticsFlag.COH, SemanticsFlag.FOU}))]
+        # seeds 2, 5, 11 and 14 are UNSAT; the scan goes on to later seeds
+        for seed in (2, 5, 11, 14) + tuple(range(300, 340)):
             baf, cs = random_instance(4, 0.3, 2, seed=seed)
             full = compile_semantics(baf, {SemanticsFlag.COH})
             full.extend(cs)
-            if not check_sat(full, baf).satisfiable:
-                continue
-            a = maxent_labelling(full, baf, init="centroid")
-            b = maxent_labelling(full, baf, init="vertex", init_vertex=1)
-            c = maxent_labelling(full, baf, init="vertex", init_vertex=3)
-            for arg in baf.args:
-                assert a.labelling[arg] == pytest.approx(b.labelling[arg], abs=1e-4)
-                assert a.labelling[arg] == pytest.approx(c.labelling[arg], abs=1e-4)
+            if check_sat(full, baf).satisfiable:
+                problems.append(_Problem(baf, full))
+            if len(problems) == 5:
+                break
+        assert len(problems) == 5
+        rng = np.random.default_rng(7)
+        for p in problems:
+            base = maxent_labelling(p.cs, p.baf)
+            assert base.converged
+            for other, rename in _presentations(p.cs, p.baf, rng):
+                res = maxent_labelling(other.cs, other.baf)
+                assert res.converged
+                for arg in p.baf.args:
+                    got = res.labelling[rename.get(arg.name, arg.name)]
+                    assert got == pytest.approx(base.labelling[arg], abs=1e-8)
+
+    @pytest.mark.parametrize("s", [1.0, 1e4, 1e6])
+    def test_verdict_agrees_with_check_sat_at_any_scale(self, s):
+        # infeasible by 1e-6 in raw units: above the LP tolerance, yet far
+        # below Newton's tolerance once each row is scaled to unit size
+        baf = BAF(["A", "B"])
+        cs = ConstraintSet()
+        cs.add_raw(RawConstraint.of([(s, "A"), (s, "B")], "<=", 0.5 * s))
+        cs.add_raw(RawConstraint.of([(s, "A")], ">=", 0.5 * s + 1e-6))
+        assert not check_sat(cs, baf).satisfiable
+        with pytest.raises(UnsatisfiableError):
+            maxent_labelling(cs, baf)
+        pinned = ConstraintSet()
+        pinned.add_raw(RawConstraint.of([(s, "A"), (s, "B")], ">=", 2.0 * s))
+        res = maxent_labelling(pinned, baf)
+        assert res.converged and satisfies_all(res.labelling, pinned, tol=1e-7)
 
     def test_unsatisfiable_rejected(self):
         baf = BAF(["A"])
@@ -106,6 +138,104 @@ class TestMaxentLabelling:
         cs = compile_semantics(baf, {SemanticsFlag.SFOU, SemanticsFlag.SSCE})
         res = maxent_labelling(cs, baf)
         assert all(abs(v - 0.5) < 1e-9 for _, v in res.labelling.items())
+
+
+@dataclass
+class _Problem:
+    baf: BAF
+    cs: ConstraintSet
+
+
+def _presentations(cs, baf, rng):
+    """The same problem written four other ways, each with the renaming of
+    its arguments: permuted argument order, shuffled rows, duplicated rows
+    and one row scaled by a positive constant."""
+    names = [a.name for a in baf.args]
+    perm = rng.permutation(len(names))
+    rename = {name: f"P{perm[i]}_{name}" for i, name in enumerate(names)}
+    renamed = ConstraintSet()
+    for c, prov in cs.items:
+        renamed.add(LinearAtomicConstraint.of({rename[n]: v for n, v in c.terms}, c.bound), prov)
+    yield _Problem(BAF([rename[n] for n in names],
+                       [(rename[a.name], rename[b.name]) for a, b in baf.attacks],
+                       [(rename[a.name], rename[b.name]) for a, b in baf.supports]),
+                   renamed), rename
+    items = list(cs.items)
+    order = rng.permutation(len(items))
+    yield _Problem(baf, ConstraintSet([items[i] for i in order])), {}
+    yield _Problem(baf, ConstraintSet(items + items[::2])), {}
+    j = int(rng.integers(len(items)))
+    c, prov = items[j]
+    scaled = LinearAtomicConstraint.of({n: 3.7 * v for n, v in c.terms}, 3.7 * c.bound)
+    yield _Problem(baf, ConstraintSet(items[:j] + [(scaled, prov)] + items[j + 1:])), {}
+
+
+def test_known_nonconvergence():
+    # six binding rows on which the former Frank-Wolfe loop stopped at its
+    # 10 000-iteration cap
+    baf = BAF([f"a{i}" for i in range(12)])
+    cs = ConstraintSet()
+    for names, bound in [("a10 a2 a6", 0.9261), ("a1 a3 a7", 0.989), ("a1 a3 a7", 1.1908),
+                         ("a1 a3 a8", 1.049), ("a1 a6 a7", 0.9447), ("a1 a3 a9", 0.862)]:
+        cs.add_raw(RawConstraint.of([(1.0, a) for a in names.split()], "<=", bound))
+    t0 = time.perf_counter()
+    res = maxent_labelling(cs, baf)
+    assert time.perf_counter() - t0 < 1.0
+    assert res.converged and res.gap <= GAP_TOL
+    assert satisfies_all(res.labelling, cs, tol=1e-9)
+
+
+_COEFFS = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def _problems(draw, max_n):
+    """A random BAF of at most max_n arguments, up to two semantics flags
+    and up to three user rows of one to three terms."""
+    n = draw(st.integers(1, max_n))
+    names = [f"H{i}" for i in range(n)]
+    edge = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(lambda e: e[0] != e[1])
+    attacks = draw(st.lists(edge, max_size=n, unique=True)) if n > 1 else []
+    supports = draw(st.lists(edge, max_size=n // 2, unique=True)) if n > 1 else []
+    baf = BAF(names, attacks, supports)
+    cs = compile_semantics(baf, draw(st.sets(st.sampled_from(list(SemanticsFlag)), max_size=2)))
+    for _ in range(draw(st.integers(0, 3))):
+        args = draw(st.lists(st.sampled_from(names), min_size=1, max_size=min(3, n), unique=True))
+        coeffs = draw(st.lists(_COEFFS, min_size=len(args), max_size=len(args)))
+        relation = draw(st.sampled_from(["<=", "=", ">="]))
+        bound = round(draw(st.floats(-1.0, 2.0)), 2)
+        cs.add_raw(RawConstraint.of(list(zip(coeffs, args)), relation, bound))
+    return _Problem(baf, cs)
+
+
+_PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
+                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+
+
+@_PROPERTY
+@given(_problems(max_n=8))
+def test_kkt_certificate(p):
+    assume(check_sat(p.cs, p.baf).satisfiable)
+    res = maxent_labelling(p.cs, p.baf)
+    assert res.converged and res.gap <= GAP_TOL
+    A, b = p.cs.as_matrix(p.baf)
+    x = res.labelling.as_array()
+    assert np.all(A @ x <= b + 1e-9)
+    assert np.all(res.multipliers >= 0.0)
+    # stationarity wherever x is off the box: logit(x) = -(A^T lam)
+    inner = (x > 1e-6) & (x < 1.0 - 1e-6)
+    logit = np.log(x[inner] / (1.0 - x[inner]))
+    assert np.allclose(logit, -(A.T @ res.multipliers)[inner], atol=1e-6)
+
+
+@_PROPERTY
+@given(_problems(max_n=6))
+def test_world_marginals_agree(p):
+    assume(check_sat(p.cs, p.baf).satisfiable)
+    res = maxent_labelling(p.cs, p.baf)
+    marg = labelling_of(world_maxent(p.cs, p.baf))
+    for arg in p.baf.args:
+        assert res.labelling[arg] == pytest.approx(marg[arg], abs=1e-6)
 
 
 class TestConjunctiveQuery:
