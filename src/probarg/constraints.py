@@ -158,20 +158,20 @@ class ConstraintSet:
     def copy(self) -> "ConstraintSet":
         return ConstraintSet(list(self.items))
 
-    def validate(self, baf: BAF) -> None:
-        for c in self.constraints:
-            for name in c.argument_names():
-                baf.index(name)
-
     def as_matrix(self, baf: BAF) -> tuple[np.ndarray, np.ndarray]:
-        """Dense LP rows (A, b) with one column per BAF argument: A x <= b."""
-        self.validate(baf)
-        A = np.zeros((len(self.items), baf.n), dtype=float)
-        b = np.empty(len(self.items), dtype=float)
-        for r, c in enumerate(self.constraints):
+        """Dense LP rows (A, b) with one column per BAF argument: A x <= b.
+
+        Raises UnknownArgumentError for a term naming no BAF argument."""
+        index = baf.index
+        rows, cols, coeffs = [], [], []
+        for r, (c, _) in enumerate(self.items):
             for name, coeff in c.terms:
-                A[r, baf.index(name)] = coeff
-            b[r] = c.bound
+                rows.append(r)
+                cols.append(index(name))
+                coeffs.append(coeff)
+        A = np.zeros((len(self.items), baf.n), dtype=float)
+        A[rows, cols] = coeffs
+        b = np.array([c.bound for c, _ in self.items], dtype=float)
         return A, b
 
     def __repr__(self):

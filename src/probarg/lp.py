@@ -11,9 +11,13 @@ cycling. Phase one introduces artificial variables only for rows that are
 infeasible at the initial bound assignment.
 
 SimplexState is reusable: after one phase-one run, any number of objectives
-can be minimized over the same feasible region. reasoner.entail_all, the
-maximum-entropy fallback and the oracle's conditional-gradient loop lean on
-that to avoid re-finding feasibility.
+can be minimized over the same feasible region, each starting from wherever
+the previous one ended (reasoner.entail_all, the oracle's conditional-gradient
+loop) or from a snapshot of the phase-one basis (solve_many, the
+maximum-entropy fallback).
+
+A pivot updates only the tableau rows where the entering column is nonzero;
+the semantics rows are sparse, so most rows are left untouched.
 """
 from __future__ import annotations
 
@@ -167,7 +171,8 @@ class SimplexState:
         row = T[r] / piv
         col = T[:, q].copy()
         col[r] = 0.0
-        T -= np.outer(col, row)
+        nz = np.flatnonzero(col)
+        T[nz] -= np.outer(col[nz], row)
         T[r] = row
         if z[q] != 0.0:
             z -= z[q] * row
@@ -334,8 +339,12 @@ class SimplexState:
             return LPSolution(status=status)
         if status == UNBOUNDED:
             return LPSolution(status=UNBOUNDED)
-        x = self._x_full()[:self.n_struct].copy()
+        x = self.point()
         return LPSolution(status=OPTIMAL, x=x, objective_value=float(c_struct @ x))
+
+    def point(self) -> np.ndarray:
+        """The structural part of the current basic solution (a copy)."""
+        return self._x_full()[:self.n_struct]
 
     def _x_full(self) -> np.ndarray:
         x = self.val.copy()
@@ -361,7 +370,8 @@ def solve_many(A, b, lower, upper, objectives: Iterable[tuple[np.ndarray, str]],
 
     Every objective restarts from the phase-one basis, so results are
     identical to independent solve_lp calls on the same rows; only the
-    feasibility work is shared.
+    feasibility work is shared. The oracle's entailment and the coordinate
+    ranges of maxent_over_polytope use it.
     """
     state = SimplexState(A, b, lower, upper, **state_kw)
     if state.ensure_feasible() == OPTIMAL:

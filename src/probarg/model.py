@@ -50,7 +50,7 @@ class BAF:
     parallel attack+support between the same pair are allowed.
     """
 
-    __slots__ = ("args", "attacks", "supports", "_index")
+    __slots__ = ("args", "attacks", "supports", "_index", "_incoming")
 
     def __init__(self, args: Iterable[ArgLike],
                  attacks: Iterable[tuple[ArgLike, ArgLike]] = (),
@@ -63,6 +63,7 @@ class BAF:
         self._index = {a.name: i for i, a in enumerate(self.args)}
         self.attacks = frozenset(self._edge(e) for e in attacks)
         self.supports = frozenset(self._edge(e) for e in supports)
+        self._incoming = None
 
     def _edge(self, e):
         src, dst = _as_argument(e[0]), _as_argument(e[1])
@@ -89,12 +90,23 @@ class BAF:
             raise UnknownArgumentError(f"unknown argument {name!r}") from None
 
     def attackers(self, a: ArgLike) -> tuple[Argument, ...]:
-        target = self.arg(a)
-        return tuple(sorted(src for (src, dst) in self.attacks if dst == target))
+        return self._sources(a)[0]
 
     def supporters(self, a: ArgLike) -> tuple[Argument, ...]:
-        target = self.arg(a)
-        return tuple(sorted(src for (src, dst) in self.supports if dst == target))
+        return self._sources(a)[1]
+
+    def _sources(self, a: ArgLike) -> tuple[tuple[Argument, ...], tuple[Argument, ...]]:
+        """(attackers, supporters) of a, each name-sorted. The index behind it
+        is built on the first call, so constructing a BAF stays one pass over
+        its edges."""
+        if self._incoming is None:
+            incoming = {arg: ([], []) for arg in self.args}
+            for kind, edges in enumerate((self.attacks, self.supports)):
+                for src, dst in edges:
+                    incoming[dst][kind].append(src)
+            self._incoming = {arg: (tuple(sorted(att)), tuple(sorted(sup)))
+                              for arg, (att, sup) in incoming.items()}
+        return self._incoming[self.arg(a)]
 
     def __eq__(self, other):
         return (isinstance(other, BAF) and self.args == other.args
@@ -264,7 +276,6 @@ class Labelling:
     __slots__ = ("baf", "_values")
 
     def __init__(self, baf: BAF, values: Mapping[ArgLike, float]):
-        self.baf = baf
         arr = np.empty(baf.n, dtype=float)
         seen = 0
         for key, v in values.items():
@@ -273,15 +284,27 @@ class Labelling:
             seen += 1
         if seen != baf.n:
             raise StructuralError("labelling domain must equal the BAF argument set")
+        self._seal(baf, arr)
+
+    def _seal(self, baf: BAF, arr: np.ndarray) -> None:
+        """Check arr (owned, one value per argument in baf.args order) lies in
+        [0, 1] up to roundoff, clip it there and freeze it."""
         if np.any(arr < -_SUM_TOL) or np.any(arr > 1 + _SUM_TOL):
             raise StructuralError("labelling values must lie in [0, 1]")
         np.clip(arr, 0.0, 1.0, out=arr)
         arr.setflags(write=False)
+        self.baf = baf
         self._values = arr
 
     @classmethod
     def from_array(cls, baf: BAF, arr) -> "Labelling":
-        return cls(baf, {a: float(v) for a, v in zip(baf.args, arr)})
+        """Labelling with value arr[i] for baf.args[i]; arr is copied."""
+        values = np.array(arr, dtype=float)
+        if values.shape != (baf.n,):
+            raise StructuralError("labelling domain must equal the BAF argument set")
+        L = cls.__new__(cls)
+        L._seal(baf, values)
+        return L
 
     @classmethod
     def uniform(cls, baf: BAF, value: float = 0.5) -> "Labelling":
@@ -387,8 +410,12 @@ def binary_entropy(p: float) -> float:
 
 
 def entropy_labelling(L: Labelling) -> float:
-    """Sum of per-argument binary entropies (nats)."""
-    return float(sum(binary_entropy(float(v)) for v in L.as_array()))
+    """Sum of per-argument binary entropies (nats), with 0*log(0) taken as 0."""
+    p = L.as_array()
+    q = 1.0 - p
+    p_log_p = p * np.log(p, out=np.zeros_like(p), where=p > 0.0)
+    q_log_q = q * np.log(q, out=np.zeros_like(q), where=q > 0.0)
+    return float(-(p_log_p + q_log_q).sum())
 
 
 def entropy_distribution(P: WorldDistribution) -> float:

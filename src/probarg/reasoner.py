@@ -3,7 +3,8 @@
 Satisfiability relaxes every constraint with a slack variable and minimizes
 total slack; the minimum is the inconsistency value and the constraint set is
 satisfiable exactly when it is (numerically) zero. Entailment minimizes and
-maximizes a single argument's label over the feasible polytope.
+maximizes a single argument's label over the feasible polytope; bounds that
+a feasible point already in hand reaches are certified without a solve.
 """
 from __future__ import annotations
 
@@ -62,50 +63,75 @@ def check_sat(cs: ConstraintSet, baf: BAF, eps_sat: float = EPS_SAT) -> SatResul
     return SatResult(False, value, None)
 
 
-def _entail_objectives(baf: BAF):
-    objs = []
-    for i in range(baf.n):
-        c = np.zeros(baf.n)
-        c[i] = 1.0
-        objs.append((c, "min"))
-        objs.append((c, "max"))
-    return objs
+def _bounds(cs: ConstraintSet, baf: BAF, wanted) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of the coordinates in `wanted` (entries
+    elsewhere are NaN), over one simplex state and one phase-one run.
 
-
-def _bounds_from(lo_sol: lp.LPSolution, hi_sol: lp.LPSolution) -> EntailmentBounds:
-    lo = min(max(float(lo_sol.objective_value), 0.0), 1.0) + 0.0
-    hi = min(max(float(hi_sol.objective_value), 0.0), 1.0) + 0.0
-    if lo > hi:  # can only be roundoff; keep the invariant 0 <= lo <= hi <= 1
-        lo = hi = 0.5 * (lo + hi)
-    return EntailmentBounds(lo, hi)
+    Every feasible point seen, the phase-one point and each optimum, is tested
+    against all open objectives at once: max x_i = 1 is certified when moving
+    x_i alone to 1 keeps every row within its slack max(b - Ax, 0), and
+    min x_i = 0 likewise with x_i moved to 0. Certified objectives are never
+    solved. Each remaining one starts from the previous optimal basis, which
+    is already feasible.
+    """
+    _require_sat(cs, baf)
+    A, b = cs.as_matrix(baf)
+    n = baf.n
+    state = lp.SimplexState(A, b, np.zeros(n), np.ones(n))
+    status = state.ensure_feasible()
+    if status != lp.OPTIMAL:
+        raise SolverError(f"entailment phase one ended with status {status!r}")
+    lower = np.full(n, np.nan)
+    upper = np.full(n, np.nan)
+    open_lo = np.zeros(n, dtype=bool)
+    open_lo[wanted] = True
+    open_hi = open_lo.copy()
+    # a zero coefficient never carries a row past its slack, so the test
+    # runs over the nonzeros of A only
+    rows, cols = np.nonzero(A)
+    coef = A[rows, cols]
+    x = state.point()
+    while True:
+        slack = np.maximum(b - A @ x, 0.0)[rows]
+        for move, still_open, bound, out in ((-x, open_lo, 0.0, lower),
+                                             (1.0 - x, open_hi, 1.0, upper)):
+            broken = np.zeros(n, dtype=bool)
+            broken[cols[coef * move[cols] > slack]] = True
+            out[still_open & ~broken] = bound
+            still_open &= broken
+        pending = np.flatnonzero(open_lo | open_hi)
+        if pending.size == 0:
+            break
+        i = int(pending[0])
+        low = bool(open_lo[i])
+        c = np.zeros(n)
+        c[i] = 1.0 if low else -1.0
+        sol = state.minimize(c)
+        if sol.status != lp.OPTIMAL:
+            raise SolverError(f"entailment LP for argument {baf.args[i].name} ended "
+                              f"with status {sol.status!r}")
+        x = sol.x
+        value = min(max(float(x[i]), 0.0), 1.0) + 0.0
+        (lower if low else upper)[i] = value
+        (open_lo if low else open_hi)[i] = False
+    # lower > upper can only be roundoff; keep 0 <= lower <= upper <= 1
+    crossed = lower > upper
+    lower[crossed] = upper[crossed] = 0.5 * (lower[crossed] + upper[crossed])
+    return lower, upper
 
 
 def entail(cs: ConstraintSet, baf: BAF, a: ArgLike) -> EntailmentBounds:
     """Tight probability bounds for one argument over all satisfying labellings."""
     i = baf.index(a)
-    _require_sat(cs, baf)
-    A, b = cs.as_matrix(baf)
-    c = np.zeros(baf.n)
-    c[i] = 1.0
-    sols = lp.solve_many(A, b, np.zeros(baf.n), np.ones(baf.n), [(c, "min"), (c, "max")])
-    for s in sols:
-        if s.status != lp.OPTIMAL:
-            raise SolverError(f"entailment LP ended with status {s.status!r}")
-    return _bounds_from(sols[0], sols[1])
+    lower, upper = _bounds(cs, baf, [i])
+    return EntailmentBounds(float(lower[i]), float(upper[i]))
 
 
 def entail_all(cs: ConstraintSet, baf: BAF) -> dict[Argument, EntailmentBounds]:
-    """Bounds for every argument, sharing one phase-one run across all solves."""
-    _require_sat(cs, baf)
-    A, b = cs.as_matrix(baf)
-    sols = lp.solve_many(A, b, np.zeros(baf.n), np.ones(baf.n), _entail_objectives(baf))
-    out: dict[Argument, EntailmentBounds] = {}
-    for i, arg in enumerate(baf.args):
-        lo_sol, hi_sol = sols[2 * i], sols[2 * i + 1]
-        if lo_sol.status != lp.OPTIMAL or hi_sol.status != lp.OPTIMAL:
-            raise SolverError("entailment LP failed for argument " + arg.name)
-        out[arg] = _bounds_from(lo_sol, hi_sol)
-    return out
+    """Bounds for every argument, from one phase-one run and warm-started solves."""
+    lower, upper = _bounds(cs, baf, np.arange(baf.n))
+    return {arg: EntailmentBounds(float(lower[i]), float(upper[i]))
+            for i, arg in enumerate(baf.args)}
 
 
 def _require_sat(cs: ConstraintSet, baf: BAF) -> None:

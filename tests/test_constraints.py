@@ -165,6 +165,44 @@ class TestSatisfies:
             assert satisfies(labelling_of(P), con) == via_marginals
 
 
+def _scan_attackers(baf, a):
+    target = baf.arg(a)
+    return tuple(sorted(src for src, dst in baf.attacks if dst == target))
+
+
+def _scan_supporters(baf, a):
+    target = baf.arg(a)
+    return tuple(sorted(src for src, dst in baf.supports if dst == target))
+
+
+def _random_baf(rng):
+    """Up to 8 arguments; self-loops and attack+support on one pair allowed."""
+    names = [f"R{i}" for i in rng.permutation(int(rng.integers(1, 9)))]
+
+    def edges():
+        k = int(rng.integers(0, 2 * len(names) + 1))
+        return [(names[int(rng.integers(len(names)))], names[int(rng.integers(len(names)))])
+                for _ in range(k)]
+
+    return BAF(names, edges(), edges())
+
+
+@pytest.mark.parametrize("flags", [{f} for f in SemanticsFlag] + [set(SemanticsFlag)],
+                         ids=[f.value for f in SemanticsFlag] + ["all"])
+def test_compile_matches_edge_scan(flags, monkeypatch):
+    rng = np.random.default_rng(31)
+    bafs = [_random_baf(rng) for _ in range(25)]
+    indexed = [compile_semantics(baf, flags).items for baf in bafs]
+    for baf in bafs:
+        for a in baf.args:
+            assert baf.attackers(a) == _scan_attackers(baf, a)
+            assert baf.supporters(a) == _scan_supporters(baf, a)
+    monkeypatch.setattr(BAF, "attackers", _scan_attackers)
+    monkeypatch.setattr(BAF, "supporters", _scan_supporters)
+    # terms, bounds, provenance and order all unchanged
+    assert indexed == [compile_semantics(baf, flags).items for baf in bafs]
+
+
 class TestConstraintSet:
     def test_as_matrix(self, fig1):
         cs = compile_semantics(fig1, {SemanticsFlag.COH})

@@ -206,3 +206,27 @@ class TestDeterminismAndBatches:
         assert sol.status in (lp.STALLED, lp.OPTIMAL)
         # with one iteration allowed this objective cannot finish
         assert sol.status == lp.STALLED
+
+
+def test_sparse_pivot_matches_dense_update():
+    rng = np.random.default_rng(17)
+    for trial in range(20):
+        m, n = int(rng.integers(2, 12)), int(rng.integers(1, 8))
+        state = lp.SimplexState(rng.uniform(-2, 2, size=(m, n)), rng.uniform(-1, 2, size=m),
+                                np.zeros(n), np.ones(n))
+        q = int(rng.integers(n))
+        r = int(rng.integers(m))
+        # a sparse entering column: zero in about half of the other rows
+        state.T[rng.random(m) < 0.5, q] = 0.0
+        state.T[r, q] = rng.uniform(0.5, 2.0)
+        T, z = state.T.copy(), rng.uniform(-1, 1, size=state.N)
+        row = T[r] / T[r, q]
+        col = T[:, q].copy()
+        col[r] = 0.0
+        dense = T - np.outer(col, row)
+        dense[r] = row
+        got_z = z.copy()
+        state._pivot(r, q, got_z, 0.25)
+        assert np.array_equal(state.T, dense)
+        assert np.array_equal(got_z, z - z[q] * row)
+        assert state.basis[r] == q and state.rhsv[r] == 0.25

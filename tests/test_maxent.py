@@ -1,11 +1,9 @@
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import assume, given
 
 from probarg import (BAF, Atom, ConditionInconsistentError, ConjunctiveQuery,
                      ConstraintSet, LimitExceededError, LinearAtomicConstraint,
@@ -16,7 +14,7 @@ from probarg import (BAF, Atom, ConditionInconsistentError, ConjunctiveQuery,
                      maxent_labelling, prob_of_formula, random_instance,
                      satisfies_all, world_maxent, check_sat)
 from probarg.maxent import GAP_TOL
-from conftest import random_labelling, random_formula
+from conftest import PROPERTY, Problem, random_formula, random_labelling, random_problems
 
 
 def eq(terms, bound):
@@ -64,14 +62,14 @@ class TestMaxentLabelling:
     def test_path_independence(self, fig1):
         # the optimum is unique, so nothing about how the rows are presented
         # may move it: argument order, row order, duplicate rows, row scaling
-        problems = [_Problem(fig1, compile_semantics(fig1, {SemanticsFlag.COH, SemanticsFlag.FOU}))]
+        problems = [Problem(fig1, compile_semantics(fig1, {SemanticsFlag.COH, SemanticsFlag.FOU}))]
         # seeds 2, 5, 11 and 14 are UNSAT; the scan goes on to later seeds
         for seed in (2, 5, 11, 14) + tuple(range(300, 340)):
             baf, cs = random_instance(4, 0.3, 2, seed=seed)
             full = compile_semantics(baf, {SemanticsFlag.COH})
             full.extend(cs)
             if check_sat(full, baf).satisfiable:
-                problems.append(_Problem(baf, full))
+                problems.append(Problem(baf, full))
             if len(problems) == 5:
                 break
         assert len(problems) == 5
@@ -140,12 +138,6 @@ class TestMaxentLabelling:
         assert all(abs(v - 0.5) < 1e-9 for _, v in res.labelling.items())
 
 
-@dataclass
-class _Problem:
-    baf: BAF
-    cs: ConstraintSet
-
-
 def _presentations(cs, baf, rng):
     """The same problem written four other ways, each with the renaming of
     its arguments: permuted argument order, shuffled rows, duplicated rows
@@ -156,18 +148,18 @@ def _presentations(cs, baf, rng):
     renamed = ConstraintSet()
     for c, prov in cs.items:
         renamed.add(LinearAtomicConstraint.of({rename[n]: v for n, v in c.terms}, c.bound), prov)
-    yield _Problem(BAF([rename[n] for n in names],
+    yield Problem(BAF([rename[n] for n in names],
                        [(rename[a.name], rename[b.name]) for a, b in baf.attacks],
                        [(rename[a.name], rename[b.name]) for a, b in baf.supports]),
                    renamed), rename
     items = list(cs.items)
     order = rng.permutation(len(items))
-    yield _Problem(baf, ConstraintSet([items[i] for i in order])), {}
-    yield _Problem(baf, ConstraintSet(items + items[::2])), {}
+    yield Problem(baf, ConstraintSet([items[i] for i in order])), {}
+    yield Problem(baf, ConstraintSet(items + items[::2])), {}
     j = int(rng.integers(len(items)))
     c, prov = items[j]
     scaled = LinearAtomicConstraint.of({n: 3.7 * v for n, v in c.terms}, 3.7 * c.bound)
-    yield _Problem(baf, ConstraintSet(items[:j] + [(scaled, prov)] + items[j + 1:])), {}
+    yield Problem(baf, ConstraintSet(items[:j] + [(scaled, prov)] + items[j + 1:])), {}
 
 
 def test_known_nonconvergence():
@@ -185,35 +177,8 @@ def test_known_nonconvergence():
     assert satisfies_all(res.labelling, cs, tol=1e-9)
 
 
-_COEFFS = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
-
-
-@st.composite
-def _problems(draw, max_n):
-    """A random BAF of at most max_n arguments, up to two semantics flags
-    and up to three user rows of one to three terms."""
-    n = draw(st.integers(1, max_n))
-    names = [f"H{i}" for i in range(n)]
-    edge = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(lambda e: e[0] != e[1])
-    attacks = draw(st.lists(edge, max_size=n, unique=True)) if n > 1 else []
-    supports = draw(st.lists(edge, max_size=n // 2, unique=True)) if n > 1 else []
-    baf = BAF(names, attacks, supports)
-    cs = compile_semantics(baf, draw(st.sets(st.sampled_from(list(SemanticsFlag)), max_size=2)))
-    for _ in range(draw(st.integers(0, 3))):
-        args = draw(st.lists(st.sampled_from(names), min_size=1, max_size=min(3, n), unique=True))
-        coeffs = draw(st.lists(_COEFFS, min_size=len(args), max_size=len(args)))
-        relation = draw(st.sampled_from(["<=", "=", ">="]))
-        bound = round(draw(st.floats(-1.0, 2.0)), 2)
-        cs.add_raw(RawConstraint.of(list(zip(coeffs, args)), relation, bound))
-    return _Problem(baf, cs)
-
-
-_PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
-                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-
-
-@_PROPERTY
-@given(_problems(max_n=8))
+@PROPERTY
+@given(random_problems(max_n=8))
 def test_kkt_certificate(p):
     assume(check_sat(p.cs, p.baf).satisfiable)
     res = maxent_labelling(p.cs, p.baf)
@@ -228,8 +193,8 @@ def test_kkt_certificate(p):
     assert np.allclose(logit, -(A.T @ res.multipliers)[inner], atol=1e-6)
 
 
-@_PROPERTY
-@given(_problems(max_n=6))
+@PROPERTY
+@given(random_problems(max_n=6))
 def test_world_marginals_agree(p):
     assume(check_sat(p.cs, p.baf).satisfiable)
     res = maxent_labelling(p.cs, p.baf)

@@ -10,6 +10,7 @@ from probarg import (BAF, And, Argument, Atom, Labelling, Not, Or, World,
                      UnknownArgumentError, entropy_distribution,
                      entropy_labelling, eval_formula, factorized_distribution,
                      kl_divergence, labelling_of, marginal, prob_of_formula)
+from probarg.model import binary_entropy
 from conftest import random_distribution, random_formula, random_labelling
 
 
@@ -183,6 +184,17 @@ class TestEntropy:
         assert entropy_labelling(L) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(1.0008048470763757, abs=1e-12)
 
+    def test_matches_scalar_sum(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 7, 1000):
+            baf = BAF([f"E{i}" for i in range(n)])
+            vals = rng.random(n)
+            vals[rng.random(n) < 0.2] = 0.0
+            vals[rng.random(n) < 0.2] = 1.0
+            L = Labelling.from_array(baf, vals)
+            scalar = sum(binary_entropy(float(v)) for v in L.as_array())
+            assert abs(entropy_labelling(L) - scalar) <= 1e-12 * max(1.0, scalar)
+
     def test_uniform_distribution_entropy(self):
         baf = baf_ab()
         P = dist(baf, [0.25] * 4)
@@ -272,6 +284,21 @@ class TestValidation:
         baf = BAF(["A"])
         with pytest.raises(StructuralError):
             Labelling(baf, {"A": 1.5})
+        for bad in ([1.5], [-1e-6], [0.5, 0.5], []):
+            with pytest.raises(StructuralError):
+                Labelling.from_array(baf, bad)
+
+    def test_from_array_matches_mapping(self):
+        rng = np.random.default_rng(5)
+        baf = BAF(["C", "A", "B"])
+        arr = np.concatenate([rng.random(3), [1 + 1e-10, -1e-10, 0.0, 1.0]])
+        for k in range(len(arr) - 2):
+            vals = arr[k:k + 3].copy()
+            L = Labelling.from_array(baf, vals)
+            assert L == Labelling(baf, {a: float(v) for a, v in zip(baf.args, vals)})
+            assert np.all((L.as_array() >= 0.0) & (L.as_array() <= 1.0))
+            vals[0] = 0.5  # the labelling keeps its own copy
+            assert L.as_array()[0] == min(max(arr[k], 0.0), 1.0)
 
     def test_distribution_shape_and_mass(self):
         baf = baf_ab()

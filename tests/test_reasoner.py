@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
 
-from probarg import (BAF, ConstraintSet, RawConstraint, SemanticsFlag,
-                     UnsatisfiableError, check_sat, compile_semantics, entail,
-                     entail_all, random_instance, satisfies_all, world_lp_entail,
-                     world_lp_sat)
+from probarg import (BAF, ConstraintSet, LinearAtomicConstraint, RawConstraint,
+                     SemanticsFlag, UnsatisfiableError, check_sat, compile_semantics,
+                     entail, entail_all, lp, random_instance, satisfies_all,
+                     world_lp_entail, world_lp_sat)
 from probarg.reasoner import witness_ok
+from conftest import PROPERTY, random_problems
 
 
 def eq(terms, bound):
@@ -117,6 +119,91 @@ class TestEntailAll:
             single = entail(cs, fig1, a)
             assert allb[a].lower == pytest.approx(single.lower, abs=1e-9)
             assert allb[a].upper == pytest.approx(single.upper, abs=1e-9)
+
+
+def _counting_minimize(monkeypatch):
+    """Wrap SimplexState.minimize; returns the list of objectives it was given."""
+    seen = []
+    original = lp.SimplexState.minimize
+
+    def minimize(self, c):
+        seen.append(np.array(c, dtype=float))
+        return original(self, c)
+
+    monkeypatch.setattr(lp.SimplexState, "minimize", minimize)
+    return seen
+
+
+class TestBoundsFromSeenPoints:
+    def test_chain_needs_few_solves(self, monkeypatch):
+        n = 1000
+        names = [f"c{i:04d}" for i in range(n)]
+        baf = BAF(names, attacks=list(zip(names, names[1:])))
+        cs = compile_semantics(baf, {SemanticsFlag.COH, SemanticsFlag.FOU})
+        seen = _counting_minimize(monkeypatch)
+        allb = entail_all(cs, baf)
+        # one slack LP for check_sat; the phase-one point certifies all but
+        # min pi(c0000) and max pi(c0001)
+        assert len(seen) <= 4
+        got = [(allb[a].lower, allb[a].upper) for a in baf.args]
+        assert got == [(1.0, 1.0), (0.0, 0.0)] + [(0.0, 1.0)] * (n - 2)
+
+    def test_max_reached_only_through_other_coordinates_is_solved(self, monkeypatch):
+        # pi(A) <= pi(B): the phase-one point is 0, and moving A alone to 1
+        # breaks the row, yet max pi(A) = 1 with B = 1
+        baf = BAF(["A", "B"])
+        cs = ConstraintSet()
+        cs.add(LinearAtomicConstraint.of([(1.0, "A"), (-1.0, "B")], 0.0))
+        seen = _counting_minimize(monkeypatch)
+        allb = entail_all(cs, baf)
+        assert [c.tolist() for c in seen if c.size == baf.n] == [[-1.0, 0.0]]
+        assert (allb[baf.arg("A")].lower, allb[baf.arg("A")].upper) == (0.0, 1.0)
+        assert (allb[baf.arg("B")].lower, allb[baf.arg("B")].upper) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("terms, relation, bound, expected", [
+        # pi(A) + pi(B) <= 1.5 and pi(B) >= 0.7: max pi(A) = 0.8
+        ([(1.0, "A"), (1.0, "B")], "<=", 1.5, (0.0, 0.8)),
+        # ... and with the maximum just below 1
+        ([(1.0, "A"), (1.0, "B")], "<=", 1.6999, (0.0, 0.9999)),
+        # pi(A) >= 0.5 pi(B) + 0.2 once pi(B) >= 0.7: min pi(A) = 0.55
+        ([(1.0, "A"), (-0.5, "B")], ">=", 0.2, (0.55, 1.0)),
+    ])
+    def test_bound_inside_the_box_is_never_certified(self, terms, relation, bound, expected):
+        baf = BAF(["A", "B"])
+        cs = ConstraintSet()
+        cs.add_raw(RawConstraint.of(terms, relation, bound))
+        cs.add_raw(RawConstraint.of([(1.0, "B")], ">=", 0.7))
+        b = entail_all(cs, baf)[baf.arg("A")]
+        assert (b.lower, b.upper) == pytest.approx(expected, abs=1e-12)
+        single = entail(cs, baf, "A")
+        assert (single.lower, single.upper) == pytest.approx(expected, abs=1e-12)
+
+
+@PROPERTY
+@given(random_problems(max_n=12))
+def test_entail_all_matches_cold_solves(p):
+    assume(check_sat(p.cs, p.baf).satisfiable)
+    A, b = p.cs.as_matrix(p.baf)
+    n = p.baf.n
+    allb = entail_all(p.cs, p.baf)
+    for i, arg in enumerate(p.baf.args):
+        c = np.zeros(n)
+        c[i] = 1.0
+        for sense, got in (("min", allb[arg].lower), ("max", allb[arg].upper)):
+            cold = lp.solve_lp(lp.LPProblem(c, sense, A, b, np.zeros(n), np.ones(n)))
+            assert cold.status == lp.OPTIMAL
+            assert got == pytest.approx(cold.objective_value, abs=1e-9)
+
+
+@PROPERTY
+@given(random_problems(max_n=6))
+def test_entail_all_matches_world_lp(p):
+    assume(check_sat(p.cs, p.baf).satisfiable)
+    allb = entail_all(p.cs, p.baf)
+    for arg in p.baf.args:
+        w = world_lp_entail(p.cs, p.baf, arg)
+        assert allb[arg].lower == pytest.approx(w.lower, abs=1e-6)
+        assert allb[arg].upper == pytest.approx(w.upper, abs=1e-6)
 
 
 class TestInvariants:
