@@ -12,9 +12,8 @@ infeasible at the initial bound assignment.
 
 SimplexState is reusable: after one phase-one run, any number of objectives
 can be minimized over the same feasible region, each starting from wherever
-the previous one ended (reasoner.entail_all, the oracle's conditional-gradient
-loop) or from a snapshot of the phase-one basis (solve_many, the
-maximum-entropy fallback).
+the previous one ended (reasoner.entail_all) or from a snapshot of the
+phase-one basis (solve_many, the maximum-entropy fallback).
 
 A pivot updates only the tableau rows where the entering column is nonzero;
 the semantics rows are sparse, so most rows are left untouched.
@@ -370,8 +369,7 @@ def solve_many(A, b, lower, upper, objectives: Iterable[tuple[np.ndarray, str]],
 
     Every objective restarts from the phase-one basis, so results are
     identical to independent solve_lp calls on the same rows; only the
-    feasibility work is shared. The oracle's entailment and the coordinate
-    ranges of maxent_over_polytope use it.
+    feasibility work is shared. The oracle's entailment uses it.
     """
     state = SimplexState(A, b, lower, upper, **state_kw)
     if state.ensure_feasible() == OPTIMAL:

@@ -24,15 +24,18 @@ it as pinned, the pinned coordinates are fixed and the dual is solved again;
 failing that, a feasible labelling is returned with converged=False and the
 dual bound as its gap.
 
-oracle.world_maxent keeps the conditional-gradient optimizer at the end of
-this module as its world-space reference, so that the labelling path is
-checked against an independent algorithm.
+maxent_over_polytope, at the end of this module, maximizes the entropy of a
+distribution over the 2^n worlds for oracle.world_maxent. Its dual has the
+log-partition function in place of the softplus sum, p = softmax(-F^T lam)
+in place of x(lam), and the same projected Newton with the same stopping
+test; it runs no LP. Agreement of its marginals with the labelling is the
+paper's factorization claim, checked without assuming it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -40,8 +43,8 @@ from . import lp
 from .constraints import ConstraintSet, LinearAtomicConstraint
 from .errors import (ConditionInconsistentError, LimitExceededError,
                      SolverError, StructuralError, UnsatisfiableError)
-from .model import (BAF, And, ArgLike, Atom, Formula, Labelling, Not, Or,
-                    _as_argument, entropy_labelling, formula_atoms)
+from .model import (BAF, And, ArgLike, Atom, Formula, Labelling, Not,
+                    _as_argument, entropy_labelling, formula_atoms, formula_truth)
 
 GAP_TOL = 1e-8
 MAX_ITER = 100       # Newton steps per dual solve
@@ -54,10 +57,10 @@ DNF_LIMIT = 20
 _ACTIVE_EPS = 1e-3   # a multiplier this small with a positive gradient is sent to zero
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 50
-_Z_SATURATED = 40.0  # past this |A^T lam|, x(lam) is within rounding of the box
+_Z_SATURATED = 40.0  # past this |A^T lam|, x(lam) is within rounding of the box; a world
+                     # exponent moved twice this far against another does the same to p
 _DAMPING = 0.1       # Levenberg-Marquardt damping per unit of scaled gradient
 _RIDGE = 1e-12       # keeps the damped Newton matrix nonsingular at the optimum
-GRAD_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,8 @@ class MaxEntResult:
 @dataclass
 class _DualIterate:
     lam: np.ndarray
-    x: np.ndarray       # the labelling: x(lam), unless the LP fallback fixed or moved it
+    x: np.ndarray       # the labelling x(lam), unless the LP fallback fixed or moved it;
+                        # for the world dual, the distribution p(lam)
     g: float            # g(lam); bounds the maximum entropy from above when the rows are feasible
     steps: int
     converged: bool
@@ -156,8 +160,9 @@ def _softplus_change(z, dz, x):
     return np.where(np.abs(dz) <= 1.0, near, far)
 
 
-def _newton_direction(A, lam, r, w):
-    """Projected Newton direction at lam for gradient r and curvature weights w.
+def _newton_direction(lam, r, hessian):
+    """Projected Newton direction at lam for the dual gradient r; hessian(free)
+    returns the block of the dual Hessian on the rows indexed by free.
 
     A multiplier at zero with a nonnegative gradient, or near zero with a
     positive one, is active and heads for zero; the free rows take a Newton
@@ -172,8 +177,7 @@ def _newton_direction(A, lam, r, w):
     step = -lam
     free = np.nonzero(~active)[0]
     if free.size:
-        AF = A[free]
-        H = (AF * w) @ AF.T
+        H = hessian(free)
         diag = np.diag(H)
         s = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
         M = H * s[:, None] * s[None, :]
@@ -183,17 +187,41 @@ def _newton_direction(A, lam, r, w):
     return step
 
 
-def _armijo_trial(A, b, lam, z, x, r, step, alpha):
-    """(trial, dz, dg) for the projected step lam -> max(lam + alpha step, 0)
-    when it passes the Armijo test, else None."""
-    trial = np.maximum(lam + alpha * step, 0.0)
-    moved = trial - lam
-    rows = np.flatnonzero(moved)  # few, on large instances
-    dz = moved[rows] @ A[rows]
-    dg = float(_softplus_change(z, dz, x).sum() + b @ moved)
-    if dg < 0.0 and dg <= _ARMIJO * float(r @ moved):
-        return trial, dz, dg
-    return None
+def _projected_search(A, b, lam, r, step, value, change, saturated):
+    """Armijo search on the projected step lam -> max(lam + alpha step, 0) of
+    a dual whose exponent is A^T lam, value its current value and r its
+    gradient. change(dz) is the change of the dual's log-partition part when
+    the exponent moves by dz; saturated(dz) tells when the primal point at the
+    moved exponent is within rounding of its bounds. Returns (lam, dz, change
+    of value) for the accepted step, or None when every halving fails."""
+    def trial(alpha):
+        new = np.maximum(lam + alpha * step, 0.0)
+        moved = new - lam
+        rows = np.flatnonzero(moved)  # few, on large instances
+        dz = moved[rows] @ A[rows]
+        dv = float(change(dz) + b @ moved)
+        if dv < 0.0 and dv <= _ARMIJO * float(r @ moved):
+            return new, dz, dv
+        return None
+
+    alpha = 1.0
+    best = trial(alpha)
+    if best is None:
+        for _ in range(_MAX_HALVINGS):
+            alpha *= 0.5
+            best = trial(alpha)
+            if best is not None:
+                break
+        return best
+    # towards a pinned coordinate the dual decays like exp(-alpha), not
+    # quadratically, so a longer step keeps paying there -- until the primal
+    # point saturates, or the value turns negative on an infeasible ray
+    while value + best[2] >= 0.0:
+        longer = trial(2.0 * alpha)
+        if longer is None or longer[2] >= best[2] or saturated(longer[1]):
+            break
+        alpha, best = 2.0 * alpha, longer
+    return best
 
 
 def _dual_newton(A, b, gap_tol: float, max_iter: int) -> _DualIterate:
@@ -215,29 +243,15 @@ def _dual_newton(A, b, gap_tol: float, max_iter: int) -> _DualIterate:
         # the entropy is >= 0, so a negative dual value proves the rows infeasible
         if steps == max_iter or g < -KKT_TOL:
             break
-        step = _newton_direction(A, lam, r, x * xc)
-        alpha = 1.0
-        best = _armijo_trial(A, b, lam, z, x, r, step, alpha)
+        w = x * xc
+        step = _newton_direction(lam, r, lambda free: (A[free] * w) @ A[free].T)
+        best = _projected_search(
+            A, b, lam, r, step, g, lambda dz: _softplus_change(z, dz, x).sum(),
+            lambda dz: np.abs(z + dz).max(initial=0.0) > _Z_SATURATED)
         if best is None:
-            for _ in range(_MAX_HALVINGS):
-                alpha *= 0.5
-                best = _armijo_trial(A, b, lam, z, x, r, step, alpha)
-                if best is not None:
-                    break
-            else:
-                break
-        else:
-            # towards a pinned coordinate g decays like exp(-alpha), not
-            # quadratically, so a longer step keeps paying there -- until
-            # x(lam) saturates, or g turns negative on an infeasible ray
-            while g + best[2] >= 0.0:
-                longer = _armijo_trial(A, b, lam, z, x, r, step, 2.0 * alpha)
-                if (longer is None or longer[2] >= best[2]
-                        or np.abs(z + longer[1]).max(initial=0.0) > _Z_SATURATED):
-                    break
-                alpha, best = 2.0 * alpha, longer
-        trial, dz, dg = best
-        lam, z, g = trial, z + dz, g + dg
+            break
+        lam, dz, dg = best
+        z, g = z + dz, g + dg
         steps += 1
     return _DualIterate(lam, x, g, steps, False)
 
@@ -343,25 +357,7 @@ def exclusive_dnf_query(L: Labelling, f: Formula, limit: int = DNF_LIMIT) -> flo
         L.baf.index(name)
     pos = {name: i for i, name in enumerate(names)}
     masks = np.arange(1 << k, dtype=np.int64)
-
-    def rec(node: Formula) -> np.ndarray:
-        if isinstance(node, Atom):
-            return (masks >> pos[node.name] & 1).astype(bool)
-        if isinstance(node, Not):
-            return ~rec(node.inner)
-        if isinstance(node, And):
-            out = np.ones(masks.shape, dtype=bool)
-            for p in node.parts:
-                out &= rec(p)
-            return out
-        if isinstance(node, Or):
-            out = np.zeros(masks.shape, dtype=bool)
-            for p in node.parts:
-                out |= rec(p)
-            return out
-        raise StructuralError(f"not a formula node: {node!r}")
-
-    sat = rec(f)
+    sat = formula_truth(f, pos, masks)
     weights = np.ones(masks.shape, dtype=float)
     for name, i in pos.items():
         bit = (masks >> i & 1).astype(bool)
@@ -390,298 +386,83 @@ def conditional_query(cs: ConstraintSet, baf: BAF, condition: ConjunctiveQuery,
     return conjunctive_query(res.certified_labelling(), target)
 
 
-# -- world-space reference: conditional gradient ----------------------------
 
 
-def _shannon_gradient(v):
-    return -(1.0 + np.log(np.clip(v, GRAD_CLAMP, None)))
+# -- world-space maximum entropy: the log-partition dual ----------------------
 
 
-def _line_search_max(x, d, tmax, iters: int = 100) -> float:
-    """Argmax of the concave restriction t -> f(x + t d) on [0, tmax]."""
-    def dphi(t):
-        return float(d @ _shannon_gradient(x + t * d))
+def _log_sum_exp(v) -> float:
+    top = float(v.max())
+    return top + math.log(float(np.exp(v - top).sum()))
 
-    if tmax <= 0.0:
-        return 0.0
-    if dphi(tmax) >= 0.0:
-        return tmax
-    if dphi(0.0) <= 0.0:
-        return 0.0
-    lo_t, hi_t = 0.0, tmax
-    for _ in range(iters):
-        mid = 0.5 * (lo_t + hi_t)
-        if dphi(mid) > 0.0:
-            lo_t = mid
-        else:
-            hi_t = mid
-        if hi_t - lo_t <= 1e-16 * max(1.0, tmax):
+
+def _log_partition_change(u, du, p) -> float:
+    """log sum exp(-(u + du)) - log sum exp(-u) for p = softmax(-u). Near the
+    optimum the change is far below the rounding of either sum, so small moves
+    use the cancellation-free log1p form; large ones the direct difference."""
+    if np.abs(du).max(initial=0.0) <= 1.0:
+        return math.log1p(float(p @ np.expm1(-du)))
+    return _log_sum_exp(-(u + du)) - _log_sum_exp(-u)
+
+
+def _world_newton(F, b) -> _DualIterate:
+    """Projected Newton on the log-partition dual from lam = 0, with the
+    stopping test of _dual_newton at GAP_TOL and MAX_ITER. The returned
+    iterate's x is the distribution p = softmax(-F^T lam)."""
+    lam = np.zeros(F.shape[0])
+    u = np.zeros(F.shape[1])
+    h = math.log(F.shape[1])
+    steps = 0
+    while True:
+        e = np.exp(u.min() - u)
+        p = e / e.sum()
+        Fp = F @ p
+        r = b - Fp
+        kkt = np.abs(np.minimum(lam, r)).max(initial=0.0)
+        if float(lam @ r) <= GAP_TOL and kkt <= KKT_TOL:
+            return _DualIterate(lam, p, h, steps, True)
+        if steps == MAX_ITER or h < -KKT_TOL:
             break
-    return 0.5 * (lo_t + hi_t)
-
-
-_ACT_TOL_LADDER = (1e-9, 1e-6, 1e-4, 1e-2, 5e-2)
-
-
-def _dual_newton_polish(A, b, x, lower, upper, act_tol: float) -> Optional[np.ndarray]:
-    """Solve the entropy maximization restricted to the rows active at x.
-
-    On the active set the optimizer has a closed form through the dual,
-    x_i = exp(-1 - (A^T lam)_i). Newton iterations on the dual residual give
-    machine-precision solutions in a handful of steps. Returns the candidate
-    point or None; the caller must still certify it (feasibility plus
-    linearized gap), since the active set was only guessed from x.
-    """
-    def vet(xc):
-        if np.any(xc < lower - 1e-12) or np.any(xc > upper + 1e-12):
-            return None
-        if A.shape[0] and np.any(A @ xc > b + 1e-9):
-            return None
-        return np.clip(xc, lower, upper)
-
-    if A.shape[0]:
-        act = A @ x >= b - act_tol * (1.0 + np.abs(b))
-        A_act, b_act = A[act], b[act]
-    else:
-        A_act, b_act = A, b
-    k = A_act.shape[0]
-    if k == 0:
-        return None
-
-    lam = np.zeros(k)
-
-    def primal(l):
-        return np.exp(np.clip(-1.0 - A_act.T @ l, -500.0, 500.0))
-
-    for _ in range(60):
-        xc = primal(lam)
-        F = A_act @ xc - b_act
-        err = float(np.abs(F).max())
-        if err <= 1e-12:
+        # the covariance of the rows under p
+        step = _newton_direction(
+            lam, r, lambda free: (F[free] * p) @ F[free].T - np.outer(Fp[free], Fp[free]))
+        # a row with all of p's mass on one value has variance ~0 and its
+        # Jacobi-scaled step is huge; past saturation no step is modelled
+        # anyway, so the full step moves the exponent's spread at most that far
+        spread = np.ptp(step @ F)
+        if spread > 2.0 * _Z_SATURATED:
+            step *= 2.0 * _Z_SATURATED / spread
+        best = _projected_search(
+            F, b, lam, r, step, h, lambda du: _log_partition_change(u, du, p),
+            lambda du: np.ptp(du) > 2.0 * _Z_SATURATED)
+        if best is None:
             break
-        J = -(A_act * xc) @ A_act.T
-        try:
-            step = np.linalg.lstsq(J, -F, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            return None
-        # damped update: keep the residual from blowing up
-        scale = 1.0
-        for _ in range(30):
-            trial = lam + scale * step
-            Ft = A_act @ primal(trial) - b_act
-            if float(np.abs(Ft).max()) < err:
-                lam = trial
-                break
-            scale *= 0.5
-        else:
-            return None
-    else:
-        return None
-    return vet(primal(lam))
+        lam, du, dh = best
+        u, h = u + du, h + dh
+        steps += 1
+    return _DualIterate(lam, p, h, steps, False)
 
 
-def _conditional_gradient_maximize(state: lp.SimplexState, A, b, lower, upper,
-                                   init_atoms, gap_tol: float, max_iter: int):
-    """Maximize the Shannon entropy over {x : rows hold, lower <= x <= upper}.
+def maxent_over_polytope(F, b):
+    """The entropy-maximizing distribution p over the columns of F subject to
+    F p <= b, by projected Newton on the dual
 
-    The iterate is kept as a convex combination of feasible atoms. Each round
-    asks the LP oracle for the best vertex under the linearized objective and
-    then transfers weight onto it from the worst active atom (pairwise step),
-    falling back to a plain step toward the vertex. The pairwise transfer is
-    what stops the iterate from zigzagging across a face it has already
-    identified; when the optimum is interior to a high-dimensional face even
-    that crawls, so an active-set Newton polish runs periodically and its
-    candidate is accepted only when the oracle certifies its gap. Returns
-    (x, gap, iterations, converged).
-    """
-    store: dict[bytes, list] = {}
-    w0 = 1.0 / len(init_atoms)
-    for v in init_atoms:
-        key = v.tobytes()
-        if key in store:
-            store[key][1] += w0
-        else:
-            store[key] = [v, w0]
-    x = np.zeros_like(init_atoms[0])
-    for v, w in store.values():
-        x += w * v
+        min_{lam >= 0}  h(lam) = log sum_w exp(-(F^T lam)_w) + b . lam,
+        p(lam) = softmax(-F^T lam),
 
-    def fw_step(s, skey, g):
-        nonlocal x, store
-        d = s - x
-        t = _line_search_max(x, d, 1.0)
-        if t >= 1.0 - 1e-15:
-            store = {skey: [s, 1.0]}
-            x = s.copy()
-        elif t > 0.0:
-            for entry in store.values():
-                entry[1] *= (1.0 - t)
-            if skey in store:
-                store[skey][1] += t
-            else:
-                store[skey] = [s, t]
-            x = x + t * d
-
-    def certified_gap(cand):
-        g = _shannon_gradient(cand)
-        sol = state.minimize(-g)
-        if sol.status != lp.OPTIMAL:
-            raise SolverError(f"linear-minimization oracle returned {sol.status!r}")
-        return float(g @ (np.clip(sol.x, lower, upper) - cand))
-
-    def try_polish(cur):
-        # active-set identification is a guess, so walk a tolerance ladder;
-        # every candidate is vetted by feasibility and the oracle certificate
-        seen = set()
-        for tol in _ACT_TOL_LADDER:
-            if A.shape[0]:
-                mask = (A @ cur >= b - tol * (1.0 + np.abs(b))).tobytes()
-                if mask in seen:
-                    continue
-                seen.add(mask)
-            cand = _dual_newton_polish(A, b, cur, lower, upper, tol)
-            if cand is None:
-                continue
-            cand_gap = certified_gap(cand)
-            if cand_gap <= gap_tol:
-                return cand, max(cand_gap, 0.0)
-        return None, None
-
-    gap = math.inf
-    for k in range(max_iter):
-        g = _shannon_gradient(x)
-        sol = state.minimize(-g)
-        if sol.status != lp.OPTIMAL:
-            raise SolverError(f"linear-minimization oracle returned {sol.status!r}")
-        s = np.clip(sol.x, lower, upper)
-        gap = float(g @ (s - x))
-        if gap <= gap_tol:
-            return x, max(gap, 0.0), k, True
-
-        if k % 10 == 0:
-            cand, cand_gap = try_polish(x)
-            if cand is not None:
-                return cand, cand_gap, k + 1, True
-
-        away_key = None
-        away_score = math.inf
-        for key, (v, _) in store.items():
-            sc = float(g @ v)
-            if sc < away_score:
-                away_score, away_key = sc, key
-        skey = s.tobytes()
-
-        if skey != away_key:
-            a_vec, a_w = store[away_key]
-            d = s - a_vec
-            t = _line_search_max(x, d, a_w)
-            if t > 0.0:
-                store[away_key][1] = a_w - t
-                if store[away_key][1] <= 1e-14:
-                    del store[away_key]
-                if skey in store:
-                    store[skey][1] += t
-                else:
-                    store[skey] = [s, t]
-                x = x + t * d
-            else:
-                fw_step(s, skey, g)
-        else:
-            fw_step(s, skey, g)
-
-        if (k + 1) % 128 == 0:
-            # rebuild x from the combination to damp float drift
-            total = sum(entry[1] for entry in store.values())
-            x = np.zeros_like(x)
-            for entry in store.values():
-                entry[1] /= total
-                x += entry[1] * entry[0]
-
-    cand, cand_gap = try_polish(x)
-    if cand is not None:
-        return cand, cand_gap, max_iter, True
-    return x, gap, max_iter, False
-
-
-def _coordinate_ranges(A, b, lower, upper):
-    """Per-coordinate min/max over the polytope plus the optimal vertices."""
-    n = lower.size
-    objectives = []
-    for i in range(n):
-        c = np.zeros(n)
-        c[i] = 1.0
-        objectives.append((c, "min"))
-        objectives.append((c, "max"))
-    sols = lp.solve_many(A, b, lower, upper, objectives)
-    lows = np.empty(n)
-    highs = np.empty(n)
-    vertices = []
-    for i in range(n):
-        lo_sol, hi_sol = sols[2 * i], sols[2 * i + 1]
-        if lo_sol.status == lp.INFEASIBLE or hi_sol.status == lp.INFEASIBLE:
-            raise UnsatisfiableError("constraint polytope is empty")
-        if lo_sol.status != lp.OPTIMAL or hi_sol.status != lp.OPTIMAL:
-            raise SolverError(f"coordinate-range LP ended with status {lo_sol.status!r}/{hi_sol.status!r}")
-        lows[i] = lo_sol.objective_value
-        highs[i] = hi_sol.objective_value
-        vertices.append(np.clip(lo_sol.x, lower, upper))
-        vertices.append(np.clip(hi_sol.x, lower, upper))
-    return lows, highs, vertices
-
-
-def _snap(vals: np.ndarray, lower: np.ndarray, upper: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    out = vals.copy()
-    snap_lo = np.isfinite(lower) & (np.abs(out - lower) <= tol)
-    out[snap_lo] = lower[snap_lo]
-    snap_up = np.isfinite(upper) & (np.abs(out - upper) <= tol)
-    out[snap_up] = upper[snap_up]
-    return out
-
-
-def maxent_over_polytope(A, b, lower, upper, *, gap_tol: float, max_iter: int,
-                         fix_tol: float, center=None):
-    """Maximize the Shannon entropy over {x : A x <= b, lower <= x <= upper}:
-    fix the coordinates whose LP range is a point, then run the
-    conditional-gradient loop on the free block. Returns (x, gap, iterations,
-    converged).
-
-    center, when given, is the unconstrained maximizer of the objective; if it
-    is feasible it becomes the single starting atom, which lets the first gap
-    check terminate immediately in the common no-binding-constraint case.
-    """
-    A = np.asarray(A, dtype=float)
+    which has one multiplier per row, whatever the number of columns; the
+    normalization of p needs none. Rows are scaled to unit largest
+    |coefficient|. Returns (p, gap, steps, converged), gap being h(lam) - H(p);
+    raises UnsatisfiableError when h < 0 proves the rows infeasible (the
+    entropy is >= 0)."""
+    F = np.asarray(F, dtype=float)
     b = np.asarray(b, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-
-    lows, highs, vertices = _coordinate_ranges(A, b, lower, upper)
-    fixed = (highs - lows) <= fix_tol
-    x_full = _snap(0.5 * (lows + highs), lower, upper)
-
-    free = ~fixed
-    n_free = int(free.sum())
-    if n_free == 0:
-        return x_full, 0.0, 0, True
-
-    A_free = A[:, free]
-    b_free = b - A[:, fixed] @ x_full[fixed] if fixed.any() else b.copy()
-    live = np.abs(A_free).max(axis=1) > 0.0 if A_free.size else np.zeros(A.shape[0], dtype=bool)
-    dead = ~live
-    if np.any(b_free[dead] < -1e-6):
-        raise SolverError("fixed coordinates violate a constraint row")
-
-    A_live, b_live = A_free[live], b_free[live]
-    state = lp.SimplexState(A_live, b_live, lower[free], upper[free])
-    init_atoms = [v[free].copy() for v in vertices]
-    if center is not None:
-        c_free = np.asarray(center, dtype=float)[free]
-        in_box = np.all(c_free >= lower[free] - 1e-12) and np.all(c_free <= upper[free] + 1e-12)
-        if in_box and (not A_live.size or np.all(A_live @ c_free <= b_live + 1e-12)):
-            init_atoms = [np.clip(c_free, lower[free], upper[free])]
-
-    x_free, gap, iters, converged = _conditional_gradient_maximize(
-        state, A_live, b_live, lower[free], upper[free], init_atoms, gap_tol, max_iter)
-
-    out = x_full.copy()
-    out[free] = x_free
-    return out, gap, iters, converged
+    scale = np.abs(F).max(axis=1, initial=0.0)
+    scale[scale == 0.0] = 1.0
+    it = _world_newton(F / scale[:, None], b / scale)
+    if not it.converged and it.g < 0.0:
+        raise UnsatisfiableError("the constraint rows admit no distribution")
+    p = it.x
+    support = p[p > 0.0]
+    entropy = float(-(support * np.log(support)).sum())
+    return p, max(it.g - entropy, 0.0), it.steps, it.converged

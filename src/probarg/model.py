@@ -238,6 +238,26 @@ def eval_formula(baf: BAF, w: World, f: Formula) -> bool:
     raise StructuralError(f"not a formula node: {f!r}")
 
 
+def formula_truth(f: Formula, bit: Mapping[str, int], masks: np.ndarray) -> np.ndarray:
+    """Boolean vector: entry k is the truth of f in the world masks[k], where
+    bit maps each argument name of f to its bit position in the masks."""
+    if isinstance(f, Atom):
+        return (masks >> bit[f.name] & 1).astype(bool)
+    if isinstance(f, Not):
+        return ~formula_truth(f.inner, bit, masks)
+    if isinstance(f, And):
+        out = np.ones(masks.shape, dtype=bool)
+        for p in f.parts:
+            out &= formula_truth(p, bit, masks)
+        return out
+    if isinstance(f, Or):
+        out = np.zeros(masks.shape, dtype=bool)
+        for p in f.parts:
+            out |= formula_truth(p, bit, masks)
+        return out
+    raise StructuralError(f"not a formula node: {f!r}")
+
+
 def formula_indicator(baf: BAF, f: Formula, max_args: Optional[int] = None) -> np.ndarray:
     """Boolean vector over all 2^n world masks: entry w is truth of f in w.
 
@@ -245,29 +265,8 @@ def formula_indicator(baf: BAF, f: Formula, max_args: Optional[int] = None) -> n
     before any evaluation.
     """
     check_world_size(baf.n, max_args)
-    masks = np.arange(1 << baf.n, dtype=np.int64)
-
-    def rec(node: Formula) -> np.ndarray:
-        if isinstance(node, Atom):
-            return (masks >> baf.index(node.name) & 1).astype(bool)
-        if isinstance(node, Not):
-            return ~rec(node.inner)
-        if isinstance(node, And):
-            out = np.ones(masks.shape, dtype=bool)
-            for p in node.parts:
-                out &= rec(p)
-            return out
-        if isinstance(node, Or):
-            out = np.zeros(masks.shape, dtype=bool)
-            for p in node.parts:
-                out |= rec(p)
-            return out
-        raise StructuralError(f"not a formula node: {node!r}")
-
-    # fail fast on dangling leaves even for trivial formulas
-    for name in formula_atoms(f):
-        baf.index(name)
-    return rec(f)
+    bit = {name: baf.index(name) for name in formula_atoms(f)}
+    return formula_truth(f, bit, np.arange(1 << baf.n, dtype=np.int64))
 
 
 class Labelling:

@@ -17,9 +17,7 @@ from .errors import SolverError, UnsatisfiableError
 from .maxent import maxent_over_polytope
 from .model import (BAF, ArgLike, Formula, WorldDistribution,
                     check_world_size, formula_indicator, labelling_of)
-from .reasoner import EPS_SAT, EntailmentBounds, SatResult
-
-WORLD_MAXENT_LIMIT = 8
+from .reasoner import EPS_SAT, EntailmentBounds, SatResult, clamp_bounds
 
 
 def _atom_indicators(n: int) -> np.ndarray:
@@ -29,17 +27,11 @@ def _atom_indicators(n: int) -> np.ndarray:
 
 
 def _world_rows(cs: ConstraintSet, baf: BAF):
-    """Constraint rows over world probabilities, plus the normalization pair."""
-    n = baf.n
-    W = 1 << n
-    M = _atom_indicators(n)
+    """Constraint rows over world probabilities, after the normalization pair."""
+    W = 1 << baf.n
     A, b = cs.as_matrix(baf)
-    rows = [np.ones(W), -np.ones(W)]
-    bounds = [1.0, -1.0]
-    for r in range(A.shape[0]):
-        rows.append(A[r] @ M)
-        bounds.append(b[r])
-    return np.array(rows), np.array(bounds)
+    return (np.vstack([np.ones(W), -np.ones(W), A @ _atom_indicators(baf.n)]),
+            np.concatenate([[1.0, -1.0], b]))
 
 
 def world_lp_sat(cs: ConstraintSet, baf: BAF, max_args: Optional[int] = None,
@@ -88,38 +80,25 @@ def world_lp_entail(cs: ConstraintSet, baf: BAF, f: Union[Formula, ArgLike],
     for s in sols:
         if s.status != lp.OPTIMAL:
             raise SolverError(f"world entailment LP ended with status {s.status!r}")
-    lo = min(max(float(sols[0].objective_value), 0.0), 1.0) + 0.0
-    hi = min(max(float(sols[1].objective_value), 0.0), 1.0) + 0.0
-    if lo > hi:
-        lo = hi = 0.5 * (lo + hi)
-    return EntailmentBounds(lo, hi)
+    lo, hi = clamp_bounds([sols[0].objective_value], [sols[1].objective_value])
+    return EntailmentBounds(float(lo[0]), float(hi[0]))
 
 
-def world_maxent(cs: ConstraintSet, baf: BAF, max_args: Optional[int] = None,
-                 gap_tol: float = 1e-8, max_iter: int = 10_000,
-                 fix_tol: float = 1e-9) -> WorldDistribution:
-    """Entropy-maximizing world distribution over the 2^n world variables, by
-    conditional gradient: a different optimizer from the labelling path's
-    entropy dual, so agreement between the two is an independent check."""
-    limit = WORLD_MAXENT_LIMIT if max_args is None else max_args
-    check_world_size(baf.n, limit)
+def world_maxent(cs: ConstraintSet, baf: BAF,
+                 max_args: Optional[int] = None) -> WorldDistribution:
+    """Entropy-maximizing world distribution over the 2^n world probabilities,
+    by projected Newton on its log-partition dual (maxent_over_polytope): one
+    multiplier per constraint row and no LP, so agreement with the labelling
+    path checks the factorization, not a shared solver."""
+    check_world_size(baf.n, max_args)
     rows, bounds = _world_rows(cs, baf)
-    W = 1 << baf.n
     try:
-        x, gap, iters, converged = maxent_over_polytope(
-            rows, bounds, np.zeros(W), np.ones(W),
-            gap_tol=gap_tol, max_iter=max_iter, fix_tol=fix_tol,
-            center=np.full(W, 1.0 / W))
+        # the softmax is normalized already; the pair sum p = 1 is dropped
+        probs, gap, steps, converged = maxent_over_polytope(rows[2:], bounds[2:])
     except UnsatisfiableError:
         raise UnsatisfiableError("world-space maximum entropy requires a satisfiable constraint set") from None
     if not converged:
-        raise SolverError(f"world maximum entropy stopped at gap {gap:.3g} after {iters} iterations")
-    probs = np.clip(x, 0.0, 1.0)
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise SolverError(f"world maximum entropy mass drifted to {total!r}")
-    if total != 1.0:
-        probs = probs / total
+        raise SolverError(f"world maximum entropy stopped at gap {gap:.3g} after {steps} Newton steps")
     return WorldDistribution(baf, probs, max_args=baf.n)
 
 

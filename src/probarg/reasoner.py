@@ -111,10 +111,17 @@ def _bounds(cs: ConstraintSet, baf: BAF, wanted) -> tuple[np.ndarray, np.ndarray
             raise SolverError(f"entailment LP for argument {baf.args[i].name} ended "
                               f"with status {sol.status!r}")
         x = sol.x
-        value = min(max(float(x[i]), 0.0), 1.0) + 0.0
-        (lower if low else upper)[i] = value
+        (lower if low else upper)[i] = x[i]
         (open_lo if low else open_hi)[i] = False
-    # lower > upper can only be roundoff; keep 0 <= lower <= upper <= 1
+    return clamp_bounds(lower, upper)
+
+
+def clamp_bounds(lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """Bound arrays from LP optima, clipped to [0, 1] (with -0.0 made 0.0);
+    lower > upper can only be roundoff, and such a pair becomes its average,
+    so 0 <= lower <= upper <= 1."""
+    lower = np.clip(lower, 0.0, 1.0) + 0.0
+    upper = np.clip(upper, 0.0, 1.0) + 0.0
     crossed = lower > upper
     lower[crossed] = upper[crossed] = 0.5 * (lower[crossed] + upper[crossed])
     return lower, upper

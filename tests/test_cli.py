@@ -2,6 +2,8 @@ import functools
 import json
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +190,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "L(A)=0.800000" in out and "entropy=" in out
 
+    def test_oracle_maxent_at_twelve_arguments(self, tmp_path, capsys):
+        names = [f"A{i:02d}" for i in range(12)]
+        p = tmp_path / "chain12.paf"
+        p.write_text("".join(f"arg {a}\n" for a in names)
+                     + "".join(f"att {a} {b}\n" for a, b in zip(names, names[1:]))
+                     + "semantics COH\n"
+                     + "constraint 1*A00 + 1*A05 >= 1.2\n"
+                     + "constraint 1*A03 + 1*A07 + 1*A10 <= 0.9\n")
+        t0 = time.perf_counter()
+        assert run(["oracle", "maxent", str(p), "--json"]) == 0
+        elapsed = time.perf_counter() - t0
+        world = json.loads(capsys.readouterr().out)["values"]["marginals"]
+        assert run(["maxent", str(p), "--json"]) == 0
+        labelling = json.loads(capsys.readouterr().out)["values"]["labelling"]
+        assert elapsed < 5.0
+        for a in names:
+            assert world[a] == pytest.approx(labelling[a], abs=1e-6)
+
     def test_oracle_respects_max_args(self, fig1_file, capsys):
         assert run(["oracle", "sat", fig1_file, "--max-args", "2"]) == 3
         assert "error" in capsys.readouterr().err
@@ -228,6 +248,11 @@ class TestExitCodes:
 
     def test_maxent_on_unsat_is_3(self, unsat_file, capsys):
         assert run(["maxent", unsat_file]) == 3
+
+    def test_oracle_maxent_on_unsat_is_3(self, capsys):
+        example = Path(__file__).resolve().parent.parent / "problems" / "example2_unsat.paf"
+        assert run(["oracle", "maxent", str(example)]) == 3
+        assert "satisfiable" in capsys.readouterr().err
 
     def test_inconsistent_condition_is_3(self, tmp_path, capsys):
         p = tmp_path / "c.paf"

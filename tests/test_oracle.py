@@ -81,9 +81,72 @@ class TestWorldMaxent:
         assert np.allclose(dist.probs, [0.16, 0.64, 0.04, 0.16], atol=1e-4)
 
     def test_default_limit(self):
-        baf = BAF([f"Y{i}" for i in range(9)])
+        baf = BAF([f"Y{i}" for i in range(17)])
         with pytest.raises(LimitExceededError):
             world_maxent(ConstraintSet(), baf)
+
+    def test_unsat_raises(self, fig1):
+        baf = BAF(["A"])
+        cs = ConstraintSet()
+        cs.add_raw(eq([(1.0, "A")], 1.0))
+        cs.add_raw(eq([(1.0, "A")], 0.0))
+        with pytest.raises(UnsatisfiableError):
+            world_maxent(cs, baf)
+        # the partial assignment of problems/example2_unsat.paf, which clashes with FOU
+        cs = compile_semantics(fig1, {SemanticsFlag.COH, SemanticsFlag.FOU})
+        cs.add_raw(eq([(1.0, "B")], 1.0))
+        cs.add_raw(eq([(1.0, "C")], 0.0))
+        with pytest.raises(UnsatisfiableError):
+            world_maxent(cs, fig1)
+        # SCE sets the unsupported x1 to 0; once the dual has pinned it, the
+        # row x1 >= 0.34 has variance ~0 under p, and its Newton step must
+        # still end on a negative dual value, not on a failed search
+        baf = BAF(["x1", "x18", "x4", "x5", "x9"], supports=[("x9", "x18")])
+        cs = compile_semantics(baf, {SemanticsFlag.SCE, SemanticsFlag.SPES})
+        cs.add_raw(RawConstraint.of([(-0.5, "x9")], ">=", -0.12))
+        cs.add_raw(RawConstraint.of([(-0.5, "x1")], "<=", -0.17))
+        assert not check_sat(cs, baf).satisfiable
+        with pytest.raises(UnsatisfiableError):
+            world_maxent(cs, baf)
+
+    def test_matches_slsqp(self):
+        """An optimizer-independent reference: scipy's SLSQP on the primal over
+        the 2^n world probabilities, on the sets where it reports success."""
+        optimize = pytest.importorskip("scipy.optimize")
+        from probarg import entropy_distribution
+        from probarg.oracle import _world_rows
+
+        def neg_entropy(p):
+            return float(np.sum(p * np.log(np.maximum(p, 1e-300))))
+
+        sets = compared = 0
+        for seed in range(1000):
+            n = 2 + seed % 3
+            baf, cs = random_instance(n, 0.3, 1 + seed % 3, seed=900 + seed)
+            full = compile_semantics(baf, [set(), {SemanticsFlag.COH}][seed % 2])
+            full.extend(cs)
+            if not check_sat(full, baf).satisfiable:
+                continue
+            sets += 1
+            dist = world_maxent(full, baf)
+            rows, bounds = _world_rows(full, baf)
+            F, b = rows[2:], bounds[2:]
+            W = 1 << n
+            cons = [{"type": "eq", "fun": lambda p: p.sum() - 1.0,
+                     "jac": lambda p: np.ones((1, W))}]
+            if F.shape[0]:
+                cons.append({"type": "ineq", "fun": lambda p: b - F @ p, "jac": lambda p: -F})
+            ref = optimize.minimize(neg_entropy, np.full(W, 1.0 / W),
+                                    jac=lambda p: 1.0 + np.log(np.maximum(p, 1e-300)),
+                                    method="SLSQP", bounds=[(0.0, 1.0)] * W, constraints=cons,
+                                    options={"ftol": 1e-14, "maxiter": 1000})
+            if ref.success:
+                compared += 1
+                assert np.abs(dist.probs - ref.x).max() <= 1e-6, f"seed {900 + seed}"
+                assert entropy_distribution(dist) >= -neg_entropy(ref.x) - 1e-9, f"seed {900 + seed}"
+            if sets == 75:
+                break
+        assert sets == 75 and compared >= 60
 
     def test_agreement_with_labelling_route(self):
         done = 0
