@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import signal
 import sys
 from dataclasses import dataclass, field
 
@@ -499,6 +500,10 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    # a reader that closes the pipe early (`probarg ... | head -1`) ends the
+    # process quietly, as it ends `cat`, instead of a BrokenPipeError traceback
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

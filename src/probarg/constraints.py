@@ -15,7 +15,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import StructuralError
-from .model import BAF, ArgLike, Labelling, _as_argument
+from .model import BAF, ArgLike, Labelling, _name_of
 
 DEFAULT_SAT_TOL = 1e-7
 
@@ -32,11 +32,10 @@ def _merge_terms(terms, bound) -> tuple[dict[str, float], float]:
     StructuralError.
     """
     merged: dict[str, float] = {}
-    if hasattr(terms, "items"):
-        pairs = [(float(c), _as_argument(a).name) for a, c in terms.items()]
-    else:
-        pairs = [(float(c), _as_argument(a).name) for c, a in terms]
-    for c, name in pairs:
+    pairs = [(c, a) for a, c in terms.items()] if hasattr(terms, "items") else terms
+    for c, a in pairs:
+        c = float(c)
+        name = _name_of(a)
         merged[name] = merged.get(name, 0.0) + c
     bound = float(bound)
     if not (math.isfinite(bound) and all(map(math.isfinite, merged.values()))):
@@ -58,7 +57,7 @@ class LinearAtomicConstraint:
         return cls(tuple(sorted(merged.items())), bound)
 
     def coeff(self, a: ArgLike) -> float:
-        name = _as_argument(a).name
+        name = _name_of(a)
         for t, c in self.terms:
             if t == name:
                 return c
@@ -206,7 +205,8 @@ def compile_semantics(baf: BAF, flags: Iterable[SemanticsFlag]) -> ConstraintSet
     Output order is deterministic: flags in a fixed canonical order, edges and
     arguments in name order. Duplicates (same term vector and bound) keep only
     their first occurrence. Incompatible flag combinations are allowed here and
-    show up later as unsatisfiability.
+    show up later as unsatisfiability. Terms name arguments by their names;
+    attackers and supporters are read off the BAF's incoming-edge positions.
     """
     cs = ConstraintSet()
     seen: set[tuple] = set()
@@ -222,9 +222,10 @@ def compile_semantics(baf: BAF, flags: Iterable[SemanticsFlag]) -> ConstraintSet
         emit(terms, bound, flag)
         emit([(-c, n) for c, n in terms], -bound, flag)
 
-    args = baf.args
-    attacks = sorted(baf.attacks)
-    supports = sorted(baf.supports)
+    names = [a.name for a in baf.args]
+    attackers, supporters = baf._source_positions()
+    attacks = sorted((src.name, dst.name) for src, dst in baf.attacks)
+    supports = sorted((src.name, dst.name) for src, dst in baf.supports)
 
     for flag in _expand_flags(flags):
         if flag is SemanticsFlag.COH:
@@ -232,40 +233,38 @@ def compile_semantics(baf: BAF, flags: Iterable[SemanticsFlag]) -> ConstraintSet
             for src, dst in attacks:
                 emit([(1.0, src), (1.0, dst)], 1.0, flag)
         elif flag is SemanticsFlag.SFOU:
-            for a in args:
-                if not baf.attackers(a):
+            for a, att in zip(names, attackers):
+                if not att:
                     emit([(-1.0, a)], -0.5, flag)
         elif flag is SemanticsFlag.FOU:
-            for a in args:
-                if not baf.attackers(a):
+            for a, att in zip(names, attackers):
+                if not att:
                     emit_eq([(1.0, a)], 1.0, flag)
         elif flag in (SemanticsFlag.SOPT, SemanticsFlag.OPT):
             # P(A) >= 1 - sum of attacker probabilities
-            for a in args:
-                att = baf.attackers(a)
+            for a, att in zip(names, attackers):
                 if flag is SemanticsFlag.SOPT and not att:
                     continue
-                terms = [(-1.0, a)] + [(-1.0, b) for b in att]
+                terms = [(-1.0, a)] + [(-1.0, names[j]) for j in att]
                 emit(terms, -1.0, flag)
         elif flag is SemanticsFlag.SCOH:
             # P(B) >= P(A) for each support (A, B)
             for src, dst in supports:
                 emit([(1.0, src), (-1.0, dst)], 0.0, flag)
         elif flag is SemanticsFlag.SSCE:
-            for a in args:
-                if not baf.supporters(a):
+            for a, sup in zip(names, supporters):
+                if not sup:
                     emit([(1.0, a)], 0.5, flag)
         elif flag is SemanticsFlag.SCE:
-            for a in args:
-                if not baf.supporters(a):
+            for a, sup in zip(names, supporters):
+                if not sup:
                     emit_eq([(1.0, a)], 0.0, flag)
         elif flag in (SemanticsFlag.SPES, SemanticsFlag.PES):
             # P(A) <= sum of supporter probabilities
-            for a in args:
-                sup = baf.supporters(a)
+            for a, sup in zip(names, supporters):
                 if flag is SemanticsFlag.SPES and not sup:
                     continue
-                terms = [(1.0, a)] + [(-1.0, b) for b in sup]
+                terms = [(1.0, a)] + [(-1.0, names[j]) for j in sup]
                 emit(terms, 0.0, flag)
     return cs
 

@@ -44,7 +44,7 @@ from .constraints import ConstraintSet, LinearAtomicConstraint
 from .errors import (ConditionInconsistentError, LimitExceededError,
                      SolverError, StructuralError, UnsatisfiableError)
 from .model import (BAF, And, ArgLike, Atom, Formula, Labelling, Not,
-                    _as_argument, entropy_labelling, formula_atoms, formula_truth)
+                    _name_of, entropy_labelling, formula_atoms, formula_truth)
 
 GAP_TOL = 1e-8
 MAX_ITER = 100       # Newton steps per dual solve
@@ -74,7 +74,7 @@ class ConjunctiveQuery:
         pairs = literals.items() if hasattr(literals, "items") else literals
         seen: dict[str, bool] = {}
         for a, polarity in pairs:
-            name = _as_argument(a).name
+            name = _name_of(a)
             if name in seen:
                 raise StructuralError(f"argument {name!r} appears twice in a conjunctive query")
             seen[name] = bool(polarity)

@@ -38,16 +38,24 @@ class Argument:
 ArgLike = Union[Argument, str]
 
 
-def _as_argument(a: ArgLike) -> Argument:
-    return a if isinstance(a, Argument) else Argument(a)
+def _name_of(a: ArgLike) -> str:
+    """The name of an argument given as an Argument or as its name; anything
+    else raises StructuralError, as Argument(a) would."""
+    if isinstance(a, Argument):
+        return a.name
+    if isinstance(a, str) and a:
+        return a
+    raise StructuralError("argument name must be a non-empty string")
 
 
 class BAF:
     """Bipolar argumentation framework: arguments plus attack and support edges.
 
-    Arguments are kept in name-sorted order; that order defines world bitmask
-    positions. Edges are sets of (source, target) pairs; self-loops and
-    parallel attack+support between the same pair are allowed.
+    Arguments are kept in name-sorted order, one Argument per name; that order
+    defines world bitmask positions. Edges are sets of (source, target) pairs
+    of the BAF's own Argument objects; self-loops and parallel attack+support
+    between the same pair are allowed. The incoming-edge index, built on first
+    use, holds positions in that order, not Arguments.
     """
 
     __slots__ = ("args", "attacks", "supports", "_index", "_incoming")
@@ -55,32 +63,30 @@ class BAF:
     def __init__(self, args: Iterable[ArgLike],
                  attacks: Iterable[tuple[ArgLike, ArgLike]] = (),
                  supports: Iterable[tuple[ArgLike, ArgLike]] = ()):
-        arg_objs = [_as_argument(a) for a in args]
-        names = [a.name for a in arg_objs]
-        if len(set(names)) != len(names):
+        names = sorted(map(_name_of, args))
+        self._index = {name: i for i, name in enumerate(names)}
+        if len(self._index) != len(names):
             raise StructuralError("duplicate argument names in BAF")
-        self.args: tuple[Argument, ...] = tuple(sorted(set(arg_objs)))
-        self._index = {a.name: i for i, a in enumerate(self.args)}
-        self.attacks = frozenset(self._edge(e) for e in attacks)
-        self.supports = frozenset(self._edge(e) for e in supports)
+        self.args: tuple[Argument, ...] = tuple(map(Argument, names))
+        self.attacks = frozenset(map(self._edge, attacks))
+        self.supports = frozenset(map(self._edge, supports))
         self._incoming = None
 
     def _edge(self, e):
-        src, dst = _as_argument(e[0]), _as_argument(e[1])
-        if src.name not in self._index or dst.name not in self._index:
-            missing = src.name if src.name not in self._index else dst.name
+        """The edge e as a pair of the BAF's own Arguments."""
+        src, dst = _name_of(e[0]), _name_of(e[1])
+        index = self._index
+        if src not in index or dst not in index:
+            missing = src if src not in index else dst
             raise UnknownArgumentError(f"edge endpoint {missing!r} is not a BAF argument")
-        return (src, dst)
+        return (self.args[index[src]], self.args[index[dst]])
 
     @property
     def n(self) -> int:
         return len(self.args)
 
     def arg(self, name: ArgLike) -> Argument:
-        a = _as_argument(name)
-        if a.name not in self._index:
-            raise UnknownArgumentError(f"unknown argument {a.name!r}")
-        return a
+        return self.args[self.index(_name_of(name))]
 
     def index(self, a: ArgLike) -> int:
         name = a.name if isinstance(a, Argument) else a
@@ -90,23 +96,28 @@ class BAF:
             raise UnknownArgumentError(f"unknown argument {name!r}") from None
 
     def attackers(self, a: ArgLike) -> tuple[Argument, ...]:
-        return self._sources(a)[0]
+        return tuple(self.args[j] for j in self._source_positions()[0][self.index(_name_of(a))])
 
     def supporters(self, a: ArgLike) -> tuple[Argument, ...]:
-        return self._sources(a)[1]
+        return tuple(self.args[j] for j in self._source_positions()[1][self.index(_name_of(a))])
 
-    def _sources(self, a: ArgLike) -> tuple[tuple[Argument, ...], tuple[Argument, ...]]:
-        """(attackers, supporters) of a, each name-sorted. The index behind it
-        is built on the first call, so constructing a BAF stays one pass over
-        its edges."""
+    def _source_positions(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(attack sources, support sources): entry i of each is the ascending
+        positions of the sources of args[i], so ascending is name order.
+
+        Built on the first call, so constructing a BAF stays one pass over its
+        edges. It holds only ints, which the garbage collector stops tracking.
+        """
         if self._incoming is None:
-            incoming = {arg: ([], []) for arg in self.args}
-            for kind, edges in enumerate((self.attacks, self.supports)):
+            index = self._index
+            incoming = []
+            for edges in (self.attacks, self.supports):
+                sources = [[] for _ in self.args]
                 for src, dst in edges:
-                    incoming[dst][kind].append(src)
-            self._incoming = {arg: (tuple(sorted(att)), tuple(sorted(sup)))
-                              for arg, (att, sup) in incoming.items()}
-        return self._incoming[self.arg(a)]
+                    sources[index[dst.name]].append(index[src.name])
+                incoming.append(tuple(tuple(sorted(s)) for s in sources))
+            self._incoming = tuple(incoming)
+        return self._incoming
 
     def __eq__(self, other):
         return (isinstance(other, BAF) and self.args == other.args
@@ -169,7 +180,7 @@ class Atom(Formula):
     __slots__ = ("name",)
 
     def __init__(self, name: ArgLike):
-        self.name = _as_argument(name).name
+        self.name = _name_of(name)
 
     def __repr__(self):
         return f"Atom({self.name!r})"

@@ -1,5 +1,6 @@
 import functools
 import json
+import signal
 import subprocess
 import sys
 import time
@@ -293,3 +294,24 @@ def test_console_script_entry_point(fig1_file):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "SAT value=0.000000" in proc.stdout
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_pipe_ends_quietly(tmp_path):
+    # long names make the output several times a 64 KiB pipe buffer
+    names = [f"a{i:03d}" + "x" * 400 for i in range(300)]
+    p = tmp_path / "chain.paf"
+    p.write_text("".join(f"arg {a}\n" for a in names)
+                 + "".join(f"att {a} {b}\n" for a, b in zip(names, names[1:]))
+                 + "semantics COH\n")
+    proc = subprocess.Popen([sys.executable, "-m", "probarg.cli", "entail-all", str(p)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline().startswith(b"a000")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -42,9 +42,57 @@ class TestBAF:
         with pytest.raises(StructuralError):
             BAF(["A", "A"])
 
+    def test_duplicate_names_across_input_types_rejected(self):
+        with pytest.raises(StructuralError):
+            BAF(["A", "B", Argument("A")])
+
+    @pytest.mark.parametrize("bad", ["", 5, ["a"], None])
+    def test_malformed_names_rejected(self, bad):
+        with pytest.raises(StructuralError):
+            BAF(["A", bad])
+        for kind in ("attacks", "supports"):
+            for edge in (("A", bad), (bad, "A"), ("X", bad)):
+                with pytest.raises(StructuralError):
+                    BAF(["A"], **{kind: [edge]})
+
     def test_edges_validated(self):
+        for kind in ("attacks", "supports"):
+            for edge in (("A", "X"), ("X", "A"), (Argument("X"), "A")):
+                with pytest.raises(UnknownArgumentError):
+                    BAF(["A"], **{kind: [edge]})
+
+    @pytest.mark.parametrize("bad", ["", 5, ["a"]])
+    def test_attackers_of_malformed_name(self, fig1, bad):
+        for method in (fig1.arg, fig1.attackers, fig1.supporters):
+            with pytest.raises(StructuralError):
+                method(bad)
         with pytest.raises(UnknownArgumentError):
-            BAF(["A"], attacks=[("A", "X")])
+            fig1.attackers("Z")
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_build_order_and_input_types_do_not_matter(self, data):
+        names = data.draw(st.lists(st.sampled_from("ABCDEFGH"), min_size=1, max_size=8,
+                                   unique=True))
+        pair = st.tuples(st.sampled_from(names), st.sampled_from(names))
+        attacks = data.draw(st.lists(pair, max_size=12))
+        supports = data.draw(st.lists(pair, max_size=12))
+        reference = BAF(sorted(names), sorted(set(attacks)), sorted(set(supports)))
+
+        def mixed(name):
+            return Argument(name) if data.draw(st.booleans()) else name
+
+        def shuffled(items):
+            return data.draw(st.permutations(items))
+
+        baf = BAF([mixed(a) for a in shuffled(names)],
+                  [(mixed(s), mixed(t)) for s, t in shuffled(attacks)],
+                  [(mixed(s), mixed(t)) for s, t in shuffled(supports)])
+        assert baf == reference and hash(baf) == hash(reference)
+        assert all(type(a) is Argument for a in baf.args)
+        for a in baf.args:
+            assert baf.attackers(a) == tuple(sorted(s for s, t in baf.attacks if t == a))
+            assert baf.supporters(a.name) == tuple(sorted(s for s, t in baf.supports if t == a))
 
     def test_attackers_supporters(self, fig1):
         assert [a.name for a in fig1.attackers("B")] == ["A", "D"]
