@@ -74,7 +74,11 @@ class BAF:
 
     def _edge(self, e):
         """The edge e as a pair of the BAF's own Arguments."""
-        src, dst = _name_of(e[0]), _name_of(e[1])
+        try:
+            src, dst = () if isinstance(e, str) else e  # "AB" is a name, not a pair
+        except (TypeError, ValueError):
+            raise StructuralError(f"edge {e!r} is not a (source, target) pair") from None
+        src, dst = _name_of(src), _name_of(dst)
         index = self._index
         if src not in index or dst not in index:
             missing = src if src not in index else dst
@@ -94,6 +98,8 @@ class BAF:
             return self._index[name]
         except KeyError:
             raise UnknownArgumentError(f"unknown argument {name!r}") from None
+        except TypeError:  # unhashable, so not a name
+            raise StructuralError("argument name must be a non-empty string") from None
 
     def attackers(self, a: ArgLike) -> tuple[Argument, ...]:
         return tuple(self.args[j] for j in self._source_positions()[0][self.index(_name_of(a))])

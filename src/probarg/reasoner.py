@@ -1,10 +1,13 @@
 """Satisfiability and entailment over probability labellings.
 
-Satisfiability relaxes every constraint with a slack variable and minimizes
-total slack; the minimum is the inconsistency value and the constraint set is
-satisfiable exactly when it is (numerically) zero. Entailment minimizes and
-maximizes a single argument's label over the feasible polytope; bounds that
-a feasible point already in hand reaches are certified without a solve.
+Satisfiability is decided by simplex phase one over the rows A x <= b and
+the box [0, 1]^n: a point whose total violation is within EPS_SAT is the
+witness, and that violation is the inconsistency value. Only when phase one
+finds no such point is every constraint relaxed with a slack variable and
+total slack minimized; that minimum is the inconsistency value, and the set
+is satisfiable exactly when it is (numerically) zero. Entailment minimizes
+and maximizes a single argument's label over the feasible polytope; bounds
+that a feasible point already in hand reaches are certified without a solve.
 """
 from __future__ import annotations
 
@@ -38,22 +41,39 @@ class EntailmentBounds:
         return self.upper - self.lower
 
 
-def _slack_lp(cs: ConstraintSet, baf: BAF):
-    """Rows of the slack-relaxed system: [A | -I] (x, s) <= b, x in [0,1], s >= 0."""
-    A, b = cs.as_matrix(baf)
+def _slack_lp(A: np.ndarray, b: np.ndarray) -> lp.LPProblem:
+    """Minimize total slack subject to [A | -I] (x, s) <= b, x in [0,1], s >= 0."""
     m, n = A.shape
     rows = np.hstack([A, -np.eye(m)]) if m else np.zeros((0, n))
-    lower = np.concatenate([np.zeros(n), np.zeros(m)])
     upper = np.concatenate([np.ones(n), np.full(m, np.inf)])
     c = np.concatenate([np.zeros(n), np.ones(m)])
-    return rows, b, lower, upper, c
+    return lp.LPProblem(c, "min", rows, b, np.zeros(n + m), upper)
 
 
 def check_sat(cs: ConstraintSet, baf: BAF, eps_sat: float = EPS_SAT) -> SatResult:
-    """Decide satisfiability; the optimal total slack is the inconsistency value."""
-    rows, b, lower, upper, c = _slack_lp(cs, baf)
-    problem = lp.LPProblem(c, "min", rows, b, lower, upper)
-    sol = lp.solve_lp(problem)
+    """Decide satisfiability.
+
+    Phase one decides: when its point, clipped to the box, violates the rows
+    by at most eps_sat in total, the set is satisfiable, the point is the
+    witness and its total violation the inconsistency value. Otherwise the
+    slack LP gives the verdict, and its optimal total slack is the value. A
+    phase-one point within eps_sat is a slack-LP point with total slack
+    within eps_sat, so the verdict is the slack LP's either way.
+    """
+    A, b = cs.as_matrix(baf)
+    n = baf.n
+    state = lp.SimplexState(A, b, np.zeros(n), np.ones(n))
+    if state.ensure_feasible() == lp.OPTIMAL:
+        x = np.clip(state.point(), 0.0, 1.0)
+        value = float(np.maximum(A @ x - b, 0.0).sum())
+        if value <= eps_sat:
+            return SatResult(True, value, Labelling.from_array(baf, x))
+    return _slack_sat(A, b, baf, eps_sat)
+
+
+def _slack_sat(A: np.ndarray, b: np.ndarray, baf: BAF, eps_sat: float) -> SatResult:
+    """The slack LP's verdict; its optimal total slack is the inconsistency value."""
+    sol = lp.solve_lp(_slack_lp(A, b))
     if sol.status != lp.OPTIMAL:
         raise SolverError(f"slack minimization ended with status {sol.status!r}")
     value = max(float(sol.objective_value), 0.0)
@@ -73,13 +93,19 @@ def _bounds(cs: ConstraintSet, baf: BAF, wanted) -> tuple[np.ndarray, np.ndarray
     min x_i = 0 likewise with x_i moved to 0. Certified objectives are never
     solved. Each remaining one starts from the previous optimal basis, which
     is already feasible.
+
+    When phase one finds no feasible point, the slack LP, as in check_sat,
+    decides: UnsatisfiableError carries its inconsistency value.
     """
-    _require_sat(cs, baf)
     A, b = cs.as_matrix(baf)
     n = baf.n
     state = lp.SimplexState(A, b, np.zeros(n), np.ones(n))
     status = state.ensure_feasible()
     if status != lp.OPTIMAL:
+        res = _slack_sat(A, b, baf, EPS_SAT)
+        if not res.satisfiable:
+            raise UnsatisfiableError(f"constraint set is unsatisfiable (inconsistency "
+                                     f"value {res.inconsistency_value:.6g})")
         raise SolverError(f"entailment phase one ended with status {status!r}")
     lower = np.full(n, np.nan)
     upper = np.full(n, np.nan)
@@ -139,13 +165,6 @@ def entail_all(cs: ConstraintSet, baf: BAF) -> dict[Argument, EntailmentBounds]:
     lower, upper = _bounds(cs, baf, np.arange(baf.n))
     return {arg: EntailmentBounds(float(lower[i]), float(upper[i]))
             for i, arg in enumerate(baf.args)}
-
-
-def _require_sat(cs: ConstraintSet, baf: BAF) -> None:
-    res = check_sat(cs, baf)
-    if not res.satisfiable:
-        raise UnsatisfiableError(
-            f"constraint set is unsatisfiable (inconsistency value {res.inconsistency_value:.6g})")
 
 
 def witness_ok(res: SatResult, cs: ConstraintSet, tol: float = EPS_SAT) -> bool:

@@ -61,6 +61,19 @@ class TestBAF:
                 with pytest.raises(UnknownArgumentError):
                     BAF(["A"], **{kind: [edge]})
 
+    @pytest.mark.parametrize("edge", [("A",), ("A", "A", "A"), (), 5, "AA", None])
+    def test_edge_that_is_not_a_pair_rejected(self, edge):
+        for kind in ("attacks", "supports"):
+            with pytest.raises(StructuralError, match="not a \\(source, target\\) pair"):
+                BAF(["A"], **{kind: [edge]})
+
+    @pytest.mark.parametrize("bad, error", [
+        (["a"], StructuralError), ({"a": 1}, StructuralError), ({"a"}, StructuralError),
+        ("Z", UnknownArgumentError), (5, UnknownArgumentError), (None, UnknownArgumentError)])
+    def test_index_raises_typed_errors(self, fig1, bad, error):
+        with pytest.raises(error):
+            fig1.index(bad)
+
     @pytest.mark.parametrize("bad", ["", 5, ["a"]])
     def test_attackers_of_malformed_name(self, fig1, bad):
         for method in (fig1.arg, fig1.attackers, fig1.supporters):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -6,7 +8,7 @@ from probarg import (BAF, ConstraintSet, LinearAtomicConstraint, RawConstraint,
                      SemanticsFlag, UnsatisfiableError, check_sat, compile_semantics,
                      entail, entail_all, lp, random_instance, satisfies_all,
                      world_lp_entail, world_lp_sat)
-from probarg.reasoner import witness_ok
+from probarg.reasoner import EPS_SAT, _slack_lp, witness_ok
 from conftest import PROPERTY, random_problems
 
 
@@ -91,8 +93,11 @@ class TestEntail:
         cs = ConstraintSet()
         cs.add_raw(eq([(1.0, "A")], 1.0))
         cs.add_raw(eq([(1.0, "A")], 0.0))
-        with pytest.raises(UnsatisfiableError):
+        # the error carries the slack LP's inconsistency value
+        with pytest.raises(UnsatisfiableError, match="inconsistency value 1\\)"):
             entail(cs, baf, "A")
+        with pytest.raises(UnsatisfiableError, match="inconsistency value 1\\)"):
+            entail_all(cs, baf)
 
 
 class TestEntailAll:
@@ -134,17 +139,20 @@ def _counting_minimize(monkeypatch):
     return seen
 
 
+def _chain(n, flags):
+    names = [f"c{i:04d}" for i in range(n)]
+    baf = BAF(names, attacks=list(zip(names, names[1:])))
+    return baf, compile_semantics(baf, flags)
+
+
 class TestBoundsFromSeenPoints:
     def test_chain_needs_few_solves(self, monkeypatch):
         n = 1000
-        names = [f"c{i:04d}" for i in range(n)]
-        baf = BAF(names, attacks=list(zip(names, names[1:])))
-        cs = compile_semantics(baf, {SemanticsFlag.COH, SemanticsFlag.FOU})
+        baf, cs = _chain(n, {SemanticsFlag.COH, SemanticsFlag.FOU})
         seen = _counting_minimize(monkeypatch)
         allb = entail_all(cs, baf)
-        # one slack LP for check_sat; the phase-one point certifies all but
-        # min pi(c0000) and max pi(c0001)
-        assert len(seen) <= 4
+        # the phase-one point certifies all but min pi(c0000) and max pi(c0001)
+        assert len(seen) <= 2
         got = [(allb[a].lower, allb[a].upper) for a in baf.args]
         assert got == [(1.0, 1.0), (0.0, 0.0)] + [(0.0, 1.0)] * (n - 2)
 
@@ -204,6 +212,72 @@ def test_entail_all_matches_world_lp(p):
         w = world_lp_entail(p.cs, p.baf, arg)
         assert allb[arg].lower == pytest.approx(w.lower, abs=1e-6)
         assert allb[arg].upper == pytest.approx(w.upper, abs=1e-6)
+
+
+class TestPhaseOneVerdict:
+    def test_chain_with_optimism_at_a_thousand(self):
+        # the slack LP alone took tens of seconds here: a 2000 x 5000 tableau
+        # and hundreds of dense pivots
+        baf, cs = _chain(1000, {SemanticsFlag.COH, SemanticsFlag.FOU, SemanticsFlag.OPT})
+        t0 = time.perf_counter()
+        res = check_sat(cs, baf)
+        assert time.perf_counter() - t0 < 5.0
+        assert res.satisfiable and witness_ok(res, cs)
+
+    def test_satisfiable_set_never_builds_the_slack_lp(self, monkeypatch):
+        calls = []
+        original = lp.solve_lp
+
+        def solve_lp(problem):
+            calls.append(problem)
+            return original(problem)
+
+        monkeypatch.setattr(lp, "solve_lp", solve_lp)
+        baf, cs = _chain(200, {SemanticsFlag.COH, SemanticsFlag.FOU})
+        assert check_sat(cs, baf).satisfiable
+        entail_all(cs, baf)
+        entail(cs, baf, "c0001")
+        assert calls == []
+
+    def test_eps_sat_is_the_threshold_on_the_witness_violation(self):
+        # phase one stops with pi(A) = 0.5, which misses the second row by 1e-8
+        s = 1e-4
+        baf = BAF(["A", "B"])
+        cs = ConstraintSet()
+        cs.add_raw(RawConstraint.of([(s, "A"), (s, "B")], "<=", 0.5 * s))
+        cs.add_raw(RawConstraint.of([(s, "A")], ">=", 0.5001 * s))
+        res = check_sat(cs, baf)
+        assert res.satisfiable and res.inconsistency_value == pytest.approx(1e-8, rel=1e-6)
+        strict = check_sat(cs, baf, eps_sat=1e-9)
+        assert not strict.satisfiable and strict.witness is None
+        assert strict.inconsistency_value == pytest.approx(1e-8, rel=1e-6)
+
+
+def _slack_lp_value(cs, baf) -> float:
+    sol = lp.solve_lp(_slack_lp(*cs.as_matrix(baf)))
+    assert sol.status == lp.OPTIMAL
+    return max(sol.objective_value, 0.0)
+
+
+@PROPERTY
+@given(random_problems(max_n=8))
+def test_verdict_matches_the_slack_lp(p):
+    res = check_sat(p.cs, p.baf)
+    slack = _slack_lp_value(p.cs, p.baf)
+    assert res.satisfiable == (slack <= EPS_SAT)
+    if res.satisfiable:
+        A, b = p.cs.as_matrix(p.baf)
+        x = res.witness.as_array()
+        assert np.all((0.0 <= x) & (x <= 1.0))
+        assert witness_ok(res, p.cs, EPS_SAT)
+        violation = float(np.maximum(A @ x - b, 0.0).sum())
+        assert res.inconsistency_value == pytest.approx(violation, abs=1e-15)
+        assert res.inconsistency_value <= EPS_SAT
+    else:
+        assert res.witness is None
+        assert res.inconsistency_value == pytest.approx(slack, abs=1e-12)
+        with pytest.raises(UnsatisfiableError):
+            entail_all(p.cs, p.baf)
 
 
 class TestInvariants:
