@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Union
 
 import numpy as np
@@ -127,51 +129,88 @@ _FLAG_ORDER = [SemanticsFlag.COH, SemanticsFlag.SFOU, SemanticsFlag.FOU,
                SemanticsFlag.PES]
 
 
-@dataclass
 class ConstraintSet:
     """Ordered list of normalized constraints, each tagged with its provenance
-    (a semantics flag name or "user")."""
+    (a semantics flag name or "user").
 
-    items: list[tuple[LinearAtomicConstraint, str]] = field(default_factory=list)
+    The rows are stored flat, in compressed-sparse-row form: the term names
+    and coefficients of every row one after another, plus each row's term
+    count, bound and provenance. `items`, `constraints` and iteration build
+    LinearAtomicConstraint objects from these lists on each call.
+    """
+
+    __slots__ = ("_names", "_coeffs", "_lengths", "_bounds", "_provenance")
+
+    def __init__(self, items: Iterable[tuple[LinearAtomicConstraint, str]] = ()):
+        self._names: list[str] = []
+        self._coeffs: list[float] = []
+        self._lengths: list[int] = []
+        self._bounds: list[float] = []
+        self._provenance: list[str] = []
+        for c, provenance in items:
+            self.add(c, provenance)
+
+    @property
+    def items(self) -> list[tuple[LinearAtomicConstraint, str]]:
+        return list(zip(self.constraints, self._provenance))
 
     @property
     def constraints(self) -> list[LinearAtomicConstraint]:
-        return [c for c, _ in self.items]
+        terms = zip(self._names, self._coeffs)
+        return [LinearAtomicConstraint(tuple(islice(terms, k)), bound)
+                for k, bound in zip(self._lengths, self._bounds)]
 
     def __len__(self):
-        return len(self.items)
+        return len(self._bounds)
 
     def __iter__(self):
         return iter(self.constraints)
 
+    def __eq__(self, other):
+        return isinstance(other, ConstraintSet) and all(
+            getattr(self, attr) == getattr(other, attr) for attr in self.__slots__)
+
     def add(self, c: LinearAtomicConstraint, provenance: str = "user") -> None:
-        self.items.append((c, provenance))
+        self._names.extend(name for name, _ in c.terms)
+        self._coeffs.extend(coeff for _, coeff in c.terms)
+        self._lengths.append(len(c.terms))
+        self._bounds.append(c.bound)
+        self._provenance.append(provenance)
 
     def add_raw(self, raw: RawConstraint, provenance: str = "user") -> None:
         for c in normalize(raw):
             self.add(c, provenance)
 
     def extend(self, other: "ConstraintSet") -> None:
-        self.items.extend(other.items)
+        for attr in self.__slots__:
+            getattr(self, attr).extend(getattr(other, attr))
 
     def copy(self) -> "ConstraintSet":
-        return ConstraintSet(list(self.items))
+        out = ConstraintSet()
+        out.extend(self)
+        return out
 
     def as_matrix(self, baf: BAF) -> tuple[np.ndarray, np.ndarray]:
         """Dense LP rows (A, b) with one column per BAF argument: A x <= b.
 
-        Raises UnknownArgumentError for a term naming no BAF argument."""
-        index = baf.index
-        rows, cols, coeffs = [], [], []
-        for r, (c, _) in enumerate(self.items):
-            for name, coeff in c.terms:
-                rows.append(r)
-                cols.append(index(name))
-                coeffs.append(coeff)
-        A = np.zeros((len(self.items), baf.n), dtype=float)
-        A[rows, cols] = coeffs
-        b = np.array([c.bound for c, _ in self.items], dtype=float)
-        return A, b
+        Every call builds new arrays from the flat lists, with one scatter of
+        all coefficients. Raises UnknownArgumentError for a term naming no
+        BAF argument."""
+        rows, cols = self._coordinates(baf)
+        A = np.zeros((len(self), baf.n))
+        A[rows, cols] = self._coeffs
+        return A, np.array(self._bounds, dtype=float)
+
+    def _coordinates(self, baf: BAF) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column of every stored term, in storage order; term names
+        map to columns through the BAF's index."""
+        k, m = len(self._names), len(self)
+        try:
+            cols = np.fromiter(map(baf._index.__getitem__, self._names), np.intp, k)
+        except (KeyError, TypeError):
+            # BAF.index raises the typed error for the first bad name
+            cols = np.fromiter(map(baf.index, self._names), np.intp, k)
+        return np.repeat(np.arange(m), np.fromiter(self._lengths, np.intp, m)), cols
 
     def __repr__(self):
         return "ConstraintSet([" + ", ".join(f"{c} ({p})" for c, p in self.items) + "])"
@@ -199,6 +238,20 @@ def _expand_flags(flags: Iterable[SemanticsFlag]) -> list[SemanticsFlag]:
     return [f for f in _FLAG_ORDER if f in given]
 
 
+def _star(a: int, own: float, others: tuple[int, ...], each: float):
+    """Canonical (positions, coefficients) of own * x_a + each * sum(x_j for j
+    in others), for ascending others without repeats: positions ascending, a
+    merged into others when it is one of them, and a zero coefficient dropped."""
+    k = bisect_left(others, a)
+    before, after = others[:k], others[k:]
+    if after and after[0] == a:  # a self-loop
+        own += each
+        after = after[1:]
+    mid = (a,) if own else ()
+    return (before + mid + after,
+            (each,) * len(before) + (own,) * len(mid) + (each,) * len(after))
+
+
 def compile_semantics(baf: BAF, flags: Iterable[SemanticsFlag]) -> ConstraintSet:
     """Emit the constraints each semantics flag induces on the BAF.
 
@@ -207,65 +260,74 @@ def compile_semantics(baf: BAF, flags: Iterable[SemanticsFlag]) -> ConstraintSet
     their first occurrence. Incompatible flag combinations are allowed here and
     show up later as unsatisfiability. Terms name arguments by their names;
     attackers and supporters are read off the BAF's incoming-edge positions.
+    Rows are built over argument positions, which follow name order, and are
+    written straight into the set's lists in the form LinearAtomicConstraint.of
+    gives: terms sorted by name, merged, with no zero coefficient.
     """
     cs = ConstraintSet()
+    cols: list[int] = []  # the terms' argument positions, named once at the end
     seen: set[tuple] = set()
 
-    def emit(terms, bound, flag):
-        c = LinearAtomicConstraint.of(terms, bound)
-        key = (c.terms, c.bound)
+    def emit(row, bound, tag):
+        pos, coeffs = row
+        key = (pos, coeffs, bound)
         if key not in seen:
             seen.add(key)
-            cs.add(c, flag.value)
+            cols.extend(pos)
+            cs._coeffs.extend(coeffs)
+            cs._lengths.append(len(pos))
+            cs._bounds.append(bound)
+            cs._provenance.append(tag)
 
-    def emit_eq(terms, bound, flag):
-        emit(terms, bound, flag)
-        emit([(-c, n) for c, n in terms], -bound, flag)
+    def emit_eq(a, bound, tag):
+        emit(((a,), (1.0,)), bound, tag)
+        emit(((a,), (-1.0,)), -bound, tag)
 
-    names = [a.name for a in baf.args]
     attackers, supporters = baf._source_positions()
-    attacks = sorted((src.name, dst.name) for src, dst in baf.attacks)
-    supports = sorted((src.name, dst.name) for src, dst in baf.supports)
+    # (source, target) position pairs in name order
+    attacks = sorted((s, t) for t, srcs in enumerate(attackers) for s in srcs)
+    supports = sorted((s, t) for t, srcs in enumerate(supporters) for s in srcs)
 
     for flag in _expand_flags(flags):
+        tag = flag.value
         if flag is SemanticsFlag.COH:
             # P(B) <= 1 - P(A) for each attack (A, B)
-            for src, dst in attacks:
-                emit([(1.0, src), (1.0, dst)], 1.0, flag)
+            for s, t in attacks:
+                emit(_star(t, 1.0, (s,), 1.0), 1.0, tag)
         elif flag is SemanticsFlag.SFOU:
-            for a, att in zip(names, attackers):
+            for a, att in enumerate(attackers):
                 if not att:
-                    emit([(-1.0, a)], -0.5, flag)
+                    emit(((a,), (-1.0,)), -0.5, tag)
         elif flag is SemanticsFlag.FOU:
-            for a, att in zip(names, attackers):
+            for a, att in enumerate(attackers):
                 if not att:
-                    emit_eq([(1.0, a)], 1.0, flag)
+                    emit_eq(a, 1.0, tag)
         elif flag in (SemanticsFlag.SOPT, SemanticsFlag.OPT):
             # P(A) >= 1 - sum of attacker probabilities
-            for a, att in zip(names, attackers):
+            for a, att in enumerate(attackers):
                 if flag is SemanticsFlag.SOPT and not att:
                     continue
-                terms = [(-1.0, a)] + [(-1.0, names[j]) for j in att]
-                emit(terms, -1.0, flag)
+                emit(_star(a, -1.0, att, -1.0), -1.0, tag)
         elif flag is SemanticsFlag.SCOH:
             # P(B) >= P(A) for each support (A, B)
-            for src, dst in supports:
-                emit([(1.0, src), (-1.0, dst)], 0.0, flag)
+            for s, t in supports:
+                emit(_star(s, 1.0, (t,), -1.0), 0.0, tag)
         elif flag is SemanticsFlag.SSCE:
-            for a, sup in zip(names, supporters):
+            for a, sup in enumerate(supporters):
                 if not sup:
-                    emit([(1.0, a)], 0.5, flag)
+                    emit(((a,), (1.0,)), 0.5, tag)
         elif flag is SemanticsFlag.SCE:
-            for a, sup in zip(names, supporters):
+            for a, sup in enumerate(supporters):
                 if not sup:
-                    emit_eq([(1.0, a)], 0.0, flag)
+                    emit_eq(a, 0.0, tag)
         elif flag in (SemanticsFlag.SPES, SemanticsFlag.PES):
             # P(A) <= sum of supporter probabilities
-            for a, sup in zip(names, supporters):
+            for a, sup in enumerate(supporters):
                 if flag is SemanticsFlag.SPES and not sup:
                     continue
-                terms = [(1.0, a)] + [(-1.0, names[j]) for j in sup]
-                emit(terms, 0.0, flag)
+                emit(_star(a, 1.0, sup, -1.0), 0.0, tag)
+    names = [a.name for a in baf.args]
+    cs._names.extend([names[p] for p in cols])
     return cs
 
 
@@ -275,4 +337,10 @@ def satisfies(L: Labelling, c: LinearAtomicConstraint, tol: float = DEFAULT_SAT_
 
 
 def satisfies_all(L: Labelling, cs: ConstraintSet, tol: float = DEFAULT_SAT_TOL) -> bool:
-    return all(satisfies(L, c, tol) for c in cs)
+    """Whether the labelling satisfies every constraint of the set within tol.
+
+    One check A x <= b + tol over all rows, with A x summed over the stored
+    terms only, row by row in term order, as `satisfies` sums each row."""
+    rows, cols = cs._coordinates(L.baf)
+    lhs = np.bincount(rows, np.multiply(cs._coeffs, L.as_array()[cols]), len(cs))
+    return bool(np.all(lhs <= np.add(cs._bounds, tol)))

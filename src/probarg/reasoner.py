@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import lp
-from .constraints import ConstraintSet, satisfies
+from .constraints import ConstraintSet, satisfies_all
 from .errors import SolverError, UnsatisfiableError
 from .model import BAF, ArgLike, Argument, Labelling
 
@@ -171,4 +171,4 @@ def witness_ok(res: SatResult, cs: ConstraintSet, tol: float = EPS_SAT) -> bool:
     """True when a satisfiable result's witness indeed passes every constraint."""
     if not res.satisfiable or res.witness is None:
         return False
-    return all(satisfies(res.witness, c, tol) for c in cs)
+    return satisfies_all(res.witness, cs, tol)

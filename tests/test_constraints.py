@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from probarg import (BAF, ConstraintSet, Labelling, LinearAtomicConstraint,
-                     RawConstraint, SemanticsFlag, StructuralError,
+                     RawConstraint, SatResult, SemanticsFlag, StructuralError,
                      UnknownArgumentError, compile_semantics, labelling_of,
-                     marginal, normalize, satisfies)
-from conftest import random_distribution
+                     marginal, normalize, satisfies, satisfies_all)
+from probarg.reasoner import witness_ok
+from conftest import PROPERTY, random_distribution, random_problems
 
 
 def c(terms, bound):
@@ -106,6 +109,8 @@ class TestCompileSemantics:
             ((("B", 1.0),), 0.0), ((("B", -1.0),), 0.0),
             ((("D", 1.0),), 0.0), ((("D", -1.0),), 0.0),
         }
+        # the negated half of each pair keeps the bound -0.0, as negation gives
+        assert np.signbit(sce.as_matrix(fig1)[1]).tolist() == [False, True, False, True]
         ssce = compile_semantics(fig1, {SemanticsFlag.SSCE})
         assert constraint_keys(ssce) == {((("B", 1.0),), 0.5), ((("D", 1.0),), 0.5)}
         spes = compile_semantics(fig1, {SemanticsFlag.SPES})
@@ -251,6 +256,130 @@ class TestConstraintSet:
 
     def test_copy_is_independent(self, fig1):
         cs = compile_semantics(fig1, {SemanticsFlag.COH})
+        A, b = cs.as_matrix(fig1)
         cp = cs.copy()
-        cp.add(c([(1.0, "A")], 0.5))
-        assert len(cp) == len(cs) + 1
+        # the rows conditional_query adds to its copy
+        cp.add(c({"A": 1.0}, 1.0), "condition")
+        cp.add(c({"A": -1.0}, -1.0), "condition")
+        assert len(cp) == len(cs) + 2 and len(cs) == 2
+        A2, b2 = cs.as_matrix(fig1)
+        assert np.array_equal(A2, A) and np.array_equal(b2, b)
+        assert cp.items[:2] == cs.items
+
+    def test_items_round_trip(self, fig1):
+        items = compile_semantics(fig1, set(SemanticsFlag)).items
+        items.append((c([(2.0, "B"), (-1.0, "A")], 0.25), "user"))
+        cs = ConstraintSet(items)
+        assert type(cs.items) is list and cs.items == items
+        assert cs.constraints == [con for con, _ in items] == list(cs)
+        assert ConstraintSet().items == [] and len(ConstraintSet()) == 0
+
+    def test_self_support_row_has_no_terms(self):
+        baf = BAF(["A", "B"], supports=[("A", "A")])
+        cs = compile_semantics(baf, {SemanticsFlag.SCOH, SemanticsFlag.PES})
+        # SCOH's 0 <= 0 for (A, A); PES's row for A merges to the same row
+        assert cs.items == [(c([], 0.0), "SCOH"), (c([(1.0, "B")], 0.0), "PES")]
+        A, b = cs.as_matrix(baf)
+        assert A.tolist() == [[0.0, 0.0], [0.0, 1.0]] and b.tolist() == [0.0, 0.0]
+
+    def test_unknown_argument_named(self, fig1):
+        cs = compile_semantics(fig1, {SemanticsFlag.COH})
+        cs.add_raw(RawConstraint.of([(1.0, "A"), (1.0, "Zed")], ">=", 0.5))
+        with pytest.raises(UnknownArgumentError, match="Zed"):
+            cs.as_matrix(fig1)
+        with pytest.raises(UnknownArgumentError, match="Zed"):
+            satisfies_all(Labelling.uniform(fig1), cs)
+
+    def test_returned_arrays_belong_to_the_caller(self, fig1):
+        cs = compile_semantics(fig1, {SemanticsFlag.COH, SemanticsFlag.FOU})
+        A, b = cs.as_matrix(fig1)
+        want = (A.copy(), b.copy())
+        A[:] = 7.0
+        b[:] = 7.0
+        A2, b2 = cs.as_matrix(fig1)
+        assert np.array_equal(A2, want[0]) and np.array_equal(b2, want[1])
+
+
+def _reference_as_matrix(cs, baf):
+    """(A, b) by the row-by-row loop over LinearAtomicConstraint objects that
+    built them before rows were stored flat."""
+    items = cs.items
+    rows, cols, coeffs = [], [], []
+    for r, (con, _) in enumerate(items):
+        for name, coeff in con.terms:
+            rows.append(r)
+            cols.append(baf.index(name))
+            coeffs.append(coeff)
+    A = np.zeros((len(items), baf.n), dtype=float)
+    A[rows, cols] = coeffs
+    b = np.array([con.bound for con, _ in items], dtype=float)
+    return A, b
+
+
+_COEFF = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def grown_sets(draw):
+    """A random problem whose set is grown through every way of adding rows:
+    add, add_raw with = and >=, extend, copy, ConstraintSet(items), SCOH/PES
+    self-support rows and duplicated rows."""
+    p = draw(random_problems(max_n=8))
+    names = [a.name for a in p.baf.args]
+    cs = p.cs
+    for step in draw(st.lists(st.sampled_from(
+            ["add", "raw", "extend", "copy", "items", "self_support", "duplicate"]), max_size=6)):
+        if step in ("add", "raw"):
+            args = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3))
+            terms = [(draw(_COEFF), a) for a in args]
+            bound = draw(st.sampled_from([-1.0, 0.0, 0.5, 1.5]))
+            if step == "add":
+                cs.add(LinearAtomicConstraint.of(terms, bound), "user")
+            else:
+                cs.add_raw(RawConstraint.of(terms, draw(st.sampled_from(["=", ">="])), bound))
+        elif step == "extend":
+            cs.extend(compile_semantics(p.baf, {draw(st.sampled_from(list(SemanticsFlag)))}))
+        elif step == "copy":
+            cs = cs.copy()
+        elif step == "items":
+            cs = ConstraintSet(cs.items)
+        elif step == "self_support":
+            loop = draw(st.sampled_from(names))
+            cs.extend(compile_semantics(BAF(names, supports=[(loop, loop)]),
+                                        {SemanticsFlag.SCOH, SemanticsFlag.PES}))
+        elif len(cs):
+            cs.add(*cs.items[draw(st.integers(0, len(cs) - 1))])
+    return p.baf, cs
+
+
+@PROPERTY
+@given(grown_sets())
+def test_as_matrix_matches_row_loop(problem):
+    baf, cs = problem
+    A, b = cs.as_matrix(baf)
+    ref_A, ref_b = _reference_as_matrix(cs, baf)
+    assert A.dtype == ref_A.dtype and b.dtype == ref_b.dtype
+    assert np.array_equal(A, ref_A) and np.array_equal(b, ref_b)
+    assert np.array_equal(np.signbit(b), np.signbit(ref_b))
+    # no cache: a caller's write to A leaves the next call's result alone
+    A += 1.0
+    assert np.array_equal(cs.as_matrix(baf)[0], ref_A)
+
+
+@pytest.mark.parametrize("check", [
+    lambda L, cs: satisfies_all(L, cs),
+    lambda L, cs: witness_ok(SatResult(True, 0.0, L), cs),
+], ids=["satisfies_all", "witness_ok"])
+def test_one_row_missed_by_tolerance(check):
+    """Both checks take every row with the default tolerance 1e-7: a miss of
+    tol/2 passes, a miss of 2 tol fails."""
+    tol = 1e-7
+    baf = BAF(["A", "B", "C", "D"])
+    cs = ConstraintSet()
+    cs.add(c([(1.0, "D")], 1.0))
+    cs.add(c([(1.0, "A"), (2.0, "B"), (-1.0, "C")], 0.5))
+    cs.add(c([(-1.0, "D")], 0.0))
+    for miss, ok in ((tol / 2, True), (2 * tol, False)):
+        # A + 2B - C = 0.25 + 0.5 - 0.25 + miss
+        L = Labelling(baf, {"A": 0.25 + miss, "B": 0.25, "C": 0.25, "D": 0.5})
+        assert check(L, cs) is ok
