@@ -8,7 +8,9 @@ variables handled natively (nonbasic variables rest at either box bound), so
 box bounds never become rows. Pricing is Dantzig's rule with an automatic
 switch to Bland's rule while degenerate pivots pile up, which protects against
 cycling. Phase one introduces artificial variables only for rows that are
-infeasible at the initial bound assignment.
+infeasible at the initial bound assignment. When phase one fails, the same
+state can go on to minimize the total row violation from its final basis
+(min_violation, elastic mode).
 
 SimplexState is reusable: after one phase-one run, any number of objectives
 can be minimized over the same feasible region, each starting from wherever
@@ -93,11 +95,7 @@ class SimplexState:
     flipped so their artificial column is a clean +1 basis column.
     """
 
-    def __init__(self, A, b, lower, upper, *,
-                 pivot_tol: float = DEFAULT_PIVOT_TOL,
-                 dual_tol: float = DEFAULT_DUAL_TOL,
-                 feas_tol: float = DEFAULT_FEAS_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER):
+    def __init__(self, A, b, lower, upper):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         lower = np.asarray(lower, dtype=float)
@@ -113,10 +111,6 @@ class SimplexState:
             raise StructuralError("fully free variables are not supported")
 
         self.m, self.n_struct = m, n
-        self.pivot_tol = pivot_tol
-        self.dual_tol = dual_tol
-        self.feas_tol = feas_tol
-        self.max_iter = max_iter
 
         start = np.where(np.isfinite(lower), lower, upper)
         resid = b - A @ start
@@ -139,6 +133,7 @@ class SimplexState:
         self.up = np.concatenate([upper, np.full(m, np.inf), np.full(n_art, np.inf)])
         self.N = N
         self.n_art = n_art
+        self.art_rows = art_rows
         self.art_start = n + m
 
         self.T = G
@@ -191,18 +186,18 @@ class SimplexState:
 
         bland = False
         degen_run = 0
-        for _ in range(self.max_iter):
+        for _ in range(DEFAULT_MAX_ITER):
             # entering variable: nonbasic with profitable reduced cost
             viol = np.where(stat == _LO, -z, np.where(stat == _UP, z, -np.inf))
             viol[self.frozen] = -np.inf
             if bland:
-                cand = np.nonzero(viol > self.dual_tol)[0]
+                cand = np.nonzero(viol > DEFAULT_DUAL_TOL)[0]
                 if cand.size == 0:
                     return OPTIMAL
                 q = int(cand[0])
             else:
                 q = int(np.argmax(viol))
-                if viol[q] <= self.dual_tol:
+                if viol[q] <= DEFAULT_DUAL_TOL:
                     return OPTIMAL
 
             d = 1.0 if stat[q] == _LO else -1.0
@@ -210,8 +205,8 @@ class SimplexState:
             dw = d * w
             tvec = np.full(m, np.inf)
             if m:
-                pos = dw > self.pivot_tol
-                neg = dw < -self.pivot_tol
+                pos = dw > DEFAULT_PIVOT_TOL
+                neg = dw < -DEFAULT_PIVOT_TOL
                 if pos.any():
                     tvec[pos] = (rhsv[pos] - lo[basis[pos]]) / dw[pos]
                 if neg.any():
@@ -276,7 +271,7 @@ class SimplexState:
         if status == UNBOUNDED:  # cannot happen: objective bounded below by 0
             raise SolverError("phase one reported unbounded")
         art_total = float(self._x_full()[self.art_start:].sum())
-        if art_total > self.feas_tol:
+        if art_total > DEFAULT_FEAS_TOL:
             self._feasible = False
             return INFEASIBLE
         self._evict_artificials()
@@ -293,7 +288,8 @@ class SimplexState:
             if j < self.art_start:
                 continue
             row = self.T[r, :self.art_start]
-            cand = np.nonzero((np.abs(row) > self.pivot_tol) & (self.stat[:self.art_start] != _BASIC))[0]
+            cand = np.nonzero((np.abs(row) > DEFAULT_PIVOT_TOL)
+                              & (self.stat[:self.art_start] != _BASIC))[0]
             if cand.size == 0:
                 # redundant row; the artificial stays basic pinned at zero
                 self.rhsv[r] = 0.0
@@ -303,6 +299,38 @@ class SimplexState:
             self.val[j] = 0.0
             # degenerate swap: q enters at its current bound value, nothing moves
             self._pivot(r, q, z_dummy, self.val[q])
+
+    def min_violation(self) -> float:
+        """Elastic mode: the least total violation sum(max(A x - b, 0)) over
+        the box, minimized from the current basis; point() is a minimizer.
+
+        Each row without an artificial gets an elastic column e >= 0 that
+        relaxes it to A x + s - e = b; in the tableau that column is minus the
+        row's slack column. A row with an artificial needs none, as its
+        artificial already measures the row's violation. The current basis
+        is feasible for the sum of artificials and elastics, and its minimum
+        is the slack LP's. Afterwards the state no longer describes
+        A x <= b, so minimize reports it infeasible.
+        """
+        elastic = np.ones(self.m, dtype=bool)
+        elastic[self.art_rows] = False
+        k = int(elastic.sum())
+        self.T = np.hstack([self.T, -self.T[:, self.n_struct + np.flatnonzero(elastic)]])
+        self.lo = np.concatenate([self.lo, np.zeros(k)])
+        self.up = np.concatenate([self.up, np.full(k, np.inf)])
+        self.up[self.art_start:] = np.inf
+        self.val = np.concatenate([self.val, np.zeros(k)])
+        self.stat = np.concatenate([self.stat, np.full(k, _LO, dtype=np.int8)])
+        self.N += k
+        self.frozen = np.zeros(self.N, dtype=bool)
+        self._feasible = False
+        self._snap = None
+        c = np.zeros(self.N)
+        c[self.art_start:] = 1.0
+        status = self._minimize_inner(c)
+        if status != OPTIMAL:
+            raise SolverError(f"violation minimization ended with status {status!r}")
+        return max(float(self._x_full()[self.art_start:].sum()), 0.0)
 
     def snapshot(self) -> None:
         """Remember the current (feasible) basis so later solves can restart
@@ -363,15 +391,15 @@ def solve_lp(p: LPProblem) -> LPSolution:
     return sol
 
 
-def solve_many(A, b, lower, upper, objectives: Iterable[tuple[np.ndarray, str]],
-               **state_kw) -> list[LPSolution]:
+def solve_many(A, b, lower, upper,
+               objectives: Iterable[tuple[np.ndarray, str]]) -> list[LPSolution]:
     """Solve several objectives over one feasible region, sharing phase one.
 
     Every objective restarts from the phase-one basis, so results are
     identical to independent solve_lp calls on the same rows; only the
     feasibility work is shared. The oracle's entailment uses it.
     """
-    state = SimplexState(A, b, lower, upper, **state_kw)
+    state = SimplexState(A, b, lower, upper)
     if state.ensure_feasible() == OPTIMAL:
         state.snapshot()
     out = []

@@ -3,11 +3,13 @@
 Satisfiability is decided by simplex phase one over the rows A x <= b and
 the box [0, 1]^n: a point whose total violation is within EPS_SAT is the
 witness, and that violation is the inconsistency value. Only when phase one
-finds no such point is every constraint relaxed with a slack variable and
-total slack minimized; that minimum is the inconsistency value, and the set
-is satisfiable exactly when it is (numerically) zero. Entailment minimizes
-and maximizes a single argument's label over the feasible polytope; bounds
-that a feasible point already in hand reaches are certified without a solve.
+finds no such point does the same simplex state go on to minimize the total
+violation sum(max(A x - b, 0)) from the basis phase one ended on
+(SimplexState.min_violation); that minimum is the inconsistency value, and
+the set is satisfiable exactly when it is (numerically) zero. Entailment
+minimizes and maximizes a single argument's label over the feasible
+polytope; bounds that a feasible point already in hand reaches are certified
+without a solve.
 """
 from __future__ import annotations
 
@@ -41,24 +43,18 @@ class EntailmentBounds:
         return self.upper - self.lower
 
 
-def _slack_lp(A: np.ndarray, b: np.ndarray) -> lp.LPProblem:
-    """Minimize total slack subject to [A | -I] (x, s) <= b, x in [0,1], s >= 0."""
-    m, n = A.shape
-    rows = np.hstack([A, -np.eye(m)]) if m else np.zeros((0, n))
-    upper = np.concatenate([np.ones(n), np.full(m, np.inf)])
-    c = np.concatenate([np.zeros(n), np.ones(m)])
-    return lp.LPProblem(c, "min", rows, b, np.zeros(n + m), upper)
-
-
 def check_sat(cs: ConstraintSet, baf: BAF, eps_sat: float = EPS_SAT) -> SatResult:
     """Decide satisfiability.
 
     Phase one decides: when its point, clipped to the box, violates the rows
     by at most eps_sat in total, the set is satisfiable, the point is the
     witness and its total violation the inconsistency value. Otherwise the
-    slack LP gives the verdict, and its optimal total slack is the value. A
-    phase-one point within eps_sat is a slack-LP point with total slack
-    within eps_sat, so the verdict is the slack LP's either way.
+    least total violation, minimized on from phase one's basis, gives the
+    verdict and is the value. A phase-one point within eps_sat is a point of
+    total violation within eps_sat, so the verdict is that minimum's either
+    way. When phase one reports success but its point misses by more than
+    eps_sat, the minimum is taken on a fresh state, since phase one has
+    already dropped the residual of its artificials.
     """
     A, b = cs.as_matrix(baf)
     n = baf.n
@@ -68,17 +64,11 @@ def check_sat(cs: ConstraintSet, baf: BAF, eps_sat: float = EPS_SAT) -> SatResul
         value = float(np.maximum(A @ x - b, 0.0).sum())
         if value <= eps_sat:
             return SatResult(True, value, Labelling.from_array(baf, x))
-    return _slack_sat(A, b, baf, eps_sat)
-
-
-def _slack_sat(A: np.ndarray, b: np.ndarray, baf: BAF, eps_sat: float) -> SatResult:
-    """The slack LP's verdict; its optimal total slack is the inconsistency value."""
-    sol = lp.solve_lp(_slack_lp(A, b))
-    if sol.status != lp.OPTIMAL:
-        raise SolverError(f"slack minimization ended with status {sol.status!r}")
-    value = max(float(sol.objective_value), 0.0)
+        # phase one dropped its artificials' residual; start over from x = 0
+        state = lp.SimplexState(A, b, np.zeros(n), np.ones(n))
+    value = state.min_violation()
     if value <= eps_sat:
-        witness = Labelling.from_array(baf, np.clip(sol.x[:baf.n], 0.0, 1.0))
+        witness = Labelling.from_array(baf, np.clip(state.point(), 0.0, 1.0))
         return SatResult(True, value, witness)
     return SatResult(False, value, None)
 
@@ -94,18 +84,19 @@ def _bounds(cs: ConstraintSet, baf: BAF, wanted) -> tuple[np.ndarray, np.ndarray
     solved. Each remaining one starts from the previous optimal basis, which
     is already feasible.
 
-    When phase one finds no feasible point, the slack LP, as in check_sat,
-    decides: UnsatisfiableError carries its inconsistency value.
+    When phase one finds no feasible point, its state minimizes the total
+    violation, as in check_sat: UnsatisfiableError carries that minimum as
+    the inconsistency value.
     """
     A, b = cs.as_matrix(baf)
     n = baf.n
     state = lp.SimplexState(A, b, np.zeros(n), np.ones(n))
     status = state.ensure_feasible()
     if status != lp.OPTIMAL:
-        res = _slack_sat(A, b, baf, EPS_SAT)
-        if not res.satisfiable:
+        value = state.min_violation()
+        if value > EPS_SAT:
             raise UnsatisfiableError(f"constraint set is unsatisfiable (inconsistency "
-                                     f"value {res.inconsistency_value:.6g})")
+                                     f"value {value:.6g})")
         raise SolverError(f"entailment phase one ended with status {status!r}")
     lower = np.full(n, np.nan)
     upper = np.full(n, np.nan)

@@ -84,6 +84,55 @@ class TestBasics:
         assert sol.x.tolist() == [0.2, 0.8]
 
 
+def explicit_slack_value(A, b):
+    """min sum(s) s.t. A x - s <= b, x in [0,1], s >= 0, as one LP."""
+    m, n = A.shape
+    c = np.concatenate([np.zeros(n), np.ones(m)])
+    upper = np.concatenate([np.ones(n), np.full(m, np.inf)])
+    sol = lp.solve_lp(lp.LPProblem(c, "min", np.hstack([A, -np.eye(m)]), b,
+                                   np.zeros(n + m), upper))
+    assert sol.status == lp.OPTIMAL
+    return sol.objective_value
+
+
+class TestMinViolation:
+    def test_violating_a_row_without_artificial_is_cheaper(self):
+        # 2x >= 2 starts violated and gets the artificial, x <= 0 does not;
+        # phase one alone ends at x = 0 with violation 2, x = 1 violates by 1
+        A, b = np.array([[-2.0], [1.0]]), np.array([-2.0, 0.0])
+        state = lp.SimplexState(A, b, np.zeros(1), np.ones(1))
+        assert state.ensure_feasible() == lp.INFEASIBLE
+        assert state.min_violation() == pytest.approx(1.0, abs=1e-12)
+        assert state.point() == pytest.approx([1.0], abs=1e-12)
+
+    @pytest.mark.parametrize("phase_one_first", [True, False])
+    def test_matches_the_explicit_slack_lp(self, phase_one_first):
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            # rows of unequal scale, so violating some rows is cheaper than others
+            A = rng.uniform(-2, 2, size=(m, n)) * rng.uniform(0.1, 5.0, size=(m, 1))
+            b = rng.uniform(-1.5, 1.0, size=m)
+            state = lp.SimplexState(A, b, np.zeros(n), np.ones(n))
+            if phase_one_first:
+                state.ensure_feasible()
+            value = state.min_violation()
+            assert value == pytest.approx(explicit_slack_value(A, b), abs=1e-9)
+            # point() is a minimizer: its own violation is the value
+            x = state.point()
+            assert np.all((x >= -1e-12) & (x <= 1.0 + 1e-12))
+            assert float(np.maximum(A @ x - b, 0.0).sum()) == pytest.approx(value, abs=1e-9)
+
+    def test_minimize_refuses_afterwards(self):
+        A, b = np.array([[1.0, 1.0]]), np.array([0.5])
+        state = lp.SimplexState(A, b, np.zeros(2), np.ones(2))
+        assert state.ensure_feasible() == lp.OPTIMAL
+        state.snapshot()
+        assert state.min_violation() == 0.0
+        state.restore()
+        assert state.minimize(np.array([1.0, 0.0])).status == lp.INFEASIBLE
+
+
 class TestValidation:
     def test_dimension_mismatch(self):
         p = lp.LPProblem(np.array([1.0]), "min", np.zeros((1, 2)), np.zeros(1),
@@ -196,12 +245,13 @@ class TestDeterminismAndBatches:
         assert sol.status == lp.OPTIMAL
         assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
 
-    def test_iteration_cap_reports_stall(self):
+    def test_iteration_cap_reports_stall(self, monkeypatch):
         rng = np.random.default_rng(12)
         A = rng.uniform(-1, 1, size=(6, 5))
         b = rng.uniform(0.5, 1.5, size=6)
         c = rng.uniform(-2, -1, size=5)
-        state = lp.SimplexState(A, b, np.zeros(5), np.ones(5), max_iter=1)
+        monkeypatch.setattr(lp, "DEFAULT_MAX_ITER", 1)
+        state = lp.SimplexState(A, b, np.zeros(5), np.ones(5))
         sol = state.minimize(c)
         assert sol.status in (lp.STALLED, lp.OPTIMAL)
         # with one iteration allowed this objective cannot finish

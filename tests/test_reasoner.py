@@ -1,4 +1,6 @@
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,12 @@ from probarg import (BAF, ConstraintSet, LinearAtomicConstraint, RawConstraint,
                      SemanticsFlag, UnsatisfiableError, check_sat, compile_semantics,
                      entail, entail_all, lp, random_instance, satisfies_all,
                      world_lp_entail, world_lp_sat)
-from probarg.reasoner import EPS_SAT, _slack_lp, witness_ok
+from probarg.cli import parse
+from probarg.reasoner import EPS_SAT, witness_ok
 from conftest import PROPERTY, random_problems
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "problems"
 
 
 def eq(terms, bound):
@@ -93,7 +99,7 @@ class TestEntail:
         cs = ConstraintSet()
         cs.add_raw(eq([(1.0, "A")], 1.0))
         cs.add_raw(eq([(1.0, "A")], 0.0))
-        # the error carries the slack LP's inconsistency value
+        # the error carries the inconsistency value
         with pytest.raises(UnsatisfiableError, match="inconsistency value 1\\)"):
             entail(cs, baf, "A")
         with pytest.raises(UnsatisfiableError, match="inconsistency value 1\\)"):
@@ -224,20 +230,39 @@ class TestPhaseOneVerdict:
         assert time.perf_counter() - t0 < 5.0
         assert res.satisfiable and witness_ok(res, cs)
 
-    def test_satisfiable_set_never_builds_the_slack_lp(self, monkeypatch):
+    def test_satisfiable_set_never_reaches_min_violation(self, monkeypatch):
         calls = []
-        original = lp.solve_lp
+        original = lp.SimplexState.min_violation
 
-        def solve_lp(problem):
-            calls.append(problem)
-            return original(problem)
+        def min_violation(self):
+            calls.append(self)
+            return original(self)
 
-        monkeypatch.setattr(lp, "solve_lp", solve_lp)
+        monkeypatch.setattr(lp.SimplexState, "min_violation", min_violation)
         baf, cs = _chain(200, {SemanticsFlag.COH, SemanticsFlag.FOU})
         assert check_sat(cs, baf).satisfiable
         entail_all(cs, baf)
         entail(cs, baf, "c0001")
         assert calls == []
+
+    def test_unsatisfiable_set_builds_one_simplex_state(self, monkeypatch):
+        built = []
+        original = lp.SimplexState.__init__
+
+        def init(self, *args, **kw):
+            built.append(self)
+            original(self, *args, **kw)
+
+        monkeypatch.setattr(lp.SimplexState, "__init__", init)
+        pf = parse((EXAMPLES / "example2_unsat.paf").read_text())
+        cs = pf.constraint_set()
+        res = check_sat(cs, pf.baf)
+        assert not res.satisfiable
+        assert res.inconsistency_value == pytest.approx(2.0, abs=1e-12)
+        assert len(built) == 1
+        with pytest.raises(UnsatisfiableError, match="inconsistency value 2\\)"):
+            entail_all(cs, pf.baf)
+        assert len(built) == 2
 
     def test_eps_sat_is_the_threshold_on_the_witness_violation(self):
         # phase one stops with pi(A) = 0.5, which misses the second row by 1e-8
@@ -254,7 +279,14 @@ class TestPhaseOneVerdict:
 
 
 def _slack_lp_value(cs, baf) -> float:
-    sol = lp.solve_lp(_slack_lp(*cs.as_matrix(baf)))
+    """The reference inconsistency value: every row relaxed by its own slack,
+    min sum(s) s.t. A x - s <= b, x in [0,1], s >= 0, solved as one LP."""
+    A, b = cs.as_matrix(baf)
+    m, n = A.shape
+    rows = np.hstack([A, -np.eye(m)]) if m else np.zeros((0, n))
+    upper = np.concatenate([np.ones(n), np.full(m, np.inf)])
+    c = np.concatenate([np.zeros(n), np.ones(m)])
+    sol = lp.solve_lp(lp.LPProblem(c, "min", rows, b, np.zeros(n + m), upper))
     assert sol.status == lp.OPTIMAL
     return max(sol.objective_value, 0.0)
 
@@ -276,7 +308,8 @@ def test_verdict_matches_the_slack_lp(p):
     else:
         assert res.witness is None
         assert res.inconsistency_value == pytest.approx(slack, abs=1e-12)
-        with pytest.raises(UnsatisfiableError):
+        message = re.escape(f"inconsistency value {res.inconsistency_value:.6g})")
+        with pytest.raises(UnsatisfiableError, match=message):
             entail_all(p.cs, p.baf)
 
 
